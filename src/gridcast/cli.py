@@ -21,6 +21,7 @@ defaults (the published training recipe). Example:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -32,9 +33,10 @@ import numpy as np
 from . import baselines, dataset, masks, movie_store, tensor_nn, trainer
 
 
-def _open_movies(data_dir: Path, city: str | None = None):
+def _open_movies(stack: contextlib.ExitStack, data_dir: Path, city: str | None = None):
+    """Open every movie in ``data_dir``; ``stack`` closes them all."""
     paths = sorted(data_dir.glob("*.tmm"))
-    movies = [movie_store.open_movie(p) for p in paths]
+    movies = [stack.enter_context(movie_store.open_movie(p)) for p in paths]
     if city is not None:
         movies = [m for m in movies if m.header.city == city]
     if not movies:
@@ -132,31 +134,31 @@ def cmd_train(args) -> int:
     sgd_cfg = _sgd_config(cfg)
     data_cfg = cfg.get("data", {})
 
-    movies = _open_movies(Path(args.data), data_cfg.get("city"))
-    cities = sorted({m.header.city for m in movies})
-    if len(cities) > 1:
-        raise ValueError(
-            f"training is strictly per city; found {cities}, set data.city in the config"
+    with contextlib.ExitStack() as stack:
+        movies = _open_movies(stack, Path(args.data), data_cfg.get("city"))
+        cities = sorted({m.header.city for m in movies})
+        if len(cities) > 1:
+            raise ValueError(
+                f"training is strictly per city; found {cities}, set data.city in the config"
+            )
+        dates = sorted({m.header.date for m in movies})
+        train_dates, val_dates = _split_dates(dates, data_cfg)
+        by_key = dataset.index_movies(movies)
+        test_slots = _load_slots(data_cfg.get("test_slots_file"))
+        stride = data_cfg.get("stride", 1)
+        val_stride = data_cfg.get("val_stride") or stride
+        region = data_cfg.get("region")
+
+        train_movies = [m for m in movies if m.header.date in train_dates]
+        val_movies = [m for m in movies if m.header.date in val_dates]
+        train_specs = dataset.enumerate_clips(
+            train_movies,
+            stride,
+            test_slots if data_cfg.get("train_on_test_slots_only") else None,
         )
-    dates = sorted({m.header.date for m in movies})
-    train_dates, val_dates = _split_dates(dates, data_cfg)
-    by_key = dataset.index_movies(movies)
-    test_slots = _load_slots(data_cfg.get("test_slots_file"))
-    stride = data_cfg.get("stride", 1)
-    val_stride = data_cfg.get("val_stride") or stride
-    region = data_cfg.get("region")
-
-    train_movies = [m for m in movies if m.header.date in train_dates]
-    val_movies = [m for m in movies if m.header.date in val_dates]
-    train_specs = dataset.enumerate_clips(
-        train_movies,
-        stride,
-        test_slots if data_cfg.get("train_on_test_slots_only") else None,
-    )
-    val_specs = dataset.enumerate_clips(val_movies, val_stride)
-    train_clips = _load_clips(train_specs, by_key, region)
-    val_clips = _load_clips(val_specs, by_key, region)
-
+        val_specs = dataset.enumerate_clips(val_movies, val_stride)
+        train_clips = _load_clips(train_specs, by_key, region)
+        val_clips = _load_clips(val_specs, by_key, region)
     result = trainer.train(unet_cfg, sgd_cfg, train_clips, val_clips, test_slots)
     tensor_nn.save_params(result.best_params, args.out)
     log_path = args.log or f"{args.out}.csv"
@@ -168,8 +170,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_specs(args):
-    movies = _open_movies(Path(args.data))
+def _predict_specs(stack, args):
+    movies = _open_movies(stack, Path(args.data))
     slots = _load_slots(args.slots)
     specs = dataset.enumerate_clips(movies, args.stride, slots)
     return movies, dataset.index_movies(movies), specs
@@ -177,73 +179,81 @@ def _predict_specs(args):
 
 def cmd_predict(args) -> int:
     params = tensor_nn.load_params(args.ckpt)
-    _, by_key, specs = _predict_specs(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        clip = dataset.load_clip(spec, by_key)
-        _write_clip_frames(trainer.predict(params, clip), spec, out_dir)
+    with contextlib.ExitStack() as stack:
+        _, by_key, specs = _predict_specs(stack, args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for spec in specs:
+            clip = dataset.load_clip(spec, by_key)
+            _write_clip_frames(trainer.predict(params, clip), spec, out_dir)
     print(f"wrote {len(specs)} prediction files to {out_dir}")
     return 0
 
 
 def cmd_baseline(args) -> int:
-    movies, by_key, specs = _predict_specs(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model = None
-    if args.kind == "slot_avg":
-        train_movies = _open_movies(Path(args.train)) if args.train else movies
-        needed = sorted(
-            {
-                s.t_start + dataset.INPUT_FRAMES + j
-                for s in specs
-                for j in range(dataset.TARGET_FRAMES)
-            }
-        )
-        model = baselines.time_slot_average(train_movies, needed)
-        if args.model_out:
-            baselines.save_model(model, args.model_out)
-    for spec in specs:
+    with contextlib.ExitStack() as stack:
+        movies, by_key, specs = _predict_specs(stack, args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        model = None
         if args.kind == "slot_avg":
-            pred = baselines.predict_slot_average(model, spec)
-        else:
-            clip = dataset.load_clip(spec, by_key)
-            pred = (
-                baselines.persistence(clip)
-                if args.kind == "persistence"
-                else baselines.zero_baseline(clip)
+            train_movies = _open_movies(stack, Path(args.train)) if args.train else movies
+            needed = sorted(
+                {
+                    s.t_start + dataset.INPUT_FRAMES + j
+                    for s in specs
+                    for j in range(dataset.TARGET_FRAMES)
+                }
             )
-        _write_clip_frames(pred, spec, out_dir)
+            model = baselines.time_slot_average(train_movies, needed)
+            if args.model_out:
+                baselines.save_model(model, args.model_out)
+        for spec in specs:
+            if args.kind == "slot_avg":
+                pred = baselines.predict_slot_average(model, spec)
+            else:
+                clip = dataset.load_clip(spec, by_key)
+                pred = (
+                    baselines.persistence(clip)
+                    if args.kind == "persistence"
+                    else baselines.zero_baseline(clip)
+                )
+            _write_clip_frames(pred, spec, out_dir)
     print(f"wrote {len(specs)} {args.kind} baseline files to {out_dir}")
     return 0
 
 
 def cmd_targets(args) -> int:
-    _, by_key, specs = _predict_specs(args)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for spec in specs:
-        clip = dataset.load_clip(spec, by_key)
-        _write_clip_frames(clip.target, spec, out_dir)
+    with contextlib.ExitStack() as stack:
+        _, by_key, specs = _predict_specs(stack, args)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for spec in specs:
+            clip = dataset.load_clip(spec, by_key)
+            _write_clip_frames(clip.target, spec, out_dir)
     print(f"wrote {len(specs)} target files to {out_dir}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
     pred_dir, truth_dir = Path(args.pred), Path(args.truth)
-    names = sorted(p.name for p in pred_dir.glob("*.tmm"))
+    names = {p.name for p in pred_dir.glob("*.tmm")}
     if not names:
         raise ValueError(f"no prediction files in {pred_dir}")
+    truth_names = {p.name for p in truth_dir.glob("*.tmm")}
+    if names != truth_names:
+        # a partial evaluation must not pass as a result over fewer clips
+        raise ValueError(
+            f"prediction and truth files differ: {len(truth_names - names)} without a "
+            f"prediction, {len(names - truth_names)} without truth, e.g. "
+            f"{sorted(names ^ truth_names)[:3]}"
+        )
     preds, truths, cities = [], [], []
-    for name in names:
-        truth_path = truth_dir / name
-        if not truth_path.exists():
-            raise ValueError(f"missing truth file for {name}")
+    for name in sorted(names):
         with movie_store.open_movie(pred_dir / name) as m:
             preds.append(m.read_all())
             cities.append(m.header.city)
-        with movie_store.open_movie(truth_path) as m:
+        with movie_store.open_movie(truth_dir / name) as m:
             truths.append(m.read_all())
     metrics = trainer.evaluate(preds, truths, cities)
     report = dataclasses.asdict(metrics)
@@ -254,8 +264,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mask(args) -> int:
-    movies = _open_movies(Path(args.data))
-    mask = masks.build_mask(movies, args.threshold)
+    with contextlib.ExitStack() as stack:
+        mask = masks.build_mask(_open_movies(stack, Path(args.data)), args.threshold)
     masks.save_mask(mask, args.out)
     print(f"mask {args.out}: {int(mask.active.sum())} active pixels at threshold {args.threshold}")
     return 0

@@ -5,12 +5,15 @@ forward/backward pairs whose gradients are exact (validated against central
 finite differences in float64). Conventions:
 
   * convolutions are cross-correlations with zero same-padding, stride 1,
-    odd kernel sizes; accumulation order over kernel taps is fixed (row-major
-    over (dy, dx)) so results are bit-reproducible for a fixed thread count
+    odd kernel sizes, computed as one im2col matrix product per image and band
+    of output rows; results are bit-reproducible for fixed array shapes, band
+    budget (``_BAND_ELEMENTS``) and BLAS thread count, but the summation order
+    inside each product is BLAS's own
   * max-pooling is 2x2 stride 2; ties go to the first window element in
     row-major order, and the gradient is routed there
   * up-convolutions are 2x2 stride-2 transposed convolutions (each output
-    pixel receives exactly one kernel tap)
+    pixel receives exactly one kernel tap), computed as one matrix product
+    for all four taps followed by a pixel shuffle
   * arrays keep their dtype end to end: float32 for training, float64 for
     gradient checking
 
@@ -28,6 +31,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CKPT_MAGIC = b"UNP1"
 CKPT_VERSION = 1
@@ -36,9 +40,46 @@ CKPT_VERSION = 1
 # ---------------------------------------------------------------------------
 # kernels
 
+# Elements of one im2col band, (ci*kh*kw) x (rows*w). 2**22 float32 values
+# (16 MB) keep a full-grid conv's working set far below a whole-image column
+# buffer while each band's GEMM stays large enough for BLAS to run at speed.
+_BAND_ELEMENTS = 2**22
+
+# (dy, dx) of the four 2x2 pooling-window elements; the index is the argmax.
+_WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+def _im2col_bands(x: np.ndarray, kh: int, kw: int):
+    """Yield (image, r0, r1, cols) over bands of output rows [r0, r1).
+
+    ``cols`` is the same-padded (ci*kh*kw, (r1-r0)*w) column matrix of that
+    band, its rows ordered like ``k.reshape(co, -1)`` for a (co,ci,kh,kw) kernel.
+    """
+    n, ci, h, w = x.shape
+    depth = ci * kh * kw
+    rows = max(1, _BAND_ELEMENTS // (depth * w))
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    for i in range(n):
+        for r0 in range(0, h, rows):
+            r1 = min(h, r0 + rows)
+            win = sliding_window_view(xp[i, :, r0 : r1 + kh - 1], (kh, kw), axis=(1, 2))
+            yield i, r0, r1, win.transpose(0, 3, 4, 1, 2).reshape(depth, (r1 - r0) * w)
+
+
+def _correlate(x: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation without bias, one GEMM per band."""
+    n, _, h, w = x.shape
+    co = k.shape[0]
+    k2 = k.reshape(co, -1)
+    out = np.empty((n, co, h, w), dtype=x.dtype)
+    for i, r0, r1, cols in _im2col_bands(x, *k.shape[2:]):
+        out[i, :, r0:r1] = (k2 @ cols).reshape(co, r1 - r0, w)
+    return out
+
+
 def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 cross-correlation: (n,ci,h,w) * (co,ci,kh,kw) -> (n,co,h,w)."""
-    n, ci, h, w = x.shape
+    ci = x.shape[1]
     co, ci_k, kh, kw = k.shape
     if ci != ci_k:
         raise ValueError(f"input has {ci} channels, kernel expects {ci_k}")
@@ -46,13 +87,7 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("same padding requires odd kernel dims")
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    out = np.zeros((n, co, h, w), dtype=x.dtype)
-    for dy in range(kh):
-        for dx in range(kw):
-            patch = xp[:, :, dy : dy + h, dx : dx + w]
-            out += np.einsum("oi,nihw->nohw", k[:, :, dy, dx], patch, optimize=True)
+    out = _correlate(x, k)
     out += bias[None, :, None, None]
     return out
 
@@ -63,22 +98,13 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     co, _, kh, kw = k.shape
     if grad_out.shape != (n, co, h, w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, h, w)}")
-    ph, pw = kh // 2, kw // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (ph, ph), (pw, pw)))
-    grad_xp = np.zeros_like(xp)
-    grad_k = np.empty_like(k)
-    for dy in range(kh):
-        for dx in range(kw):
-            patch = xp[:, :, dy : dy + h, dx : dx + w]
-            grad_k[:, :, dy, dx] = np.einsum(
-                "nohw,nihw->oi", grad_out, patch, optimize=True
-            )
-            grad_xp[:, :, dy : dy + h, dx : dx + w] += np.einsum(
-                "oi,nohw->nihw", k[:, :, dy, dx], grad_out, optimize=True
-            )
-    grad_x = grad_xp[:, :, ph : ph + h, pw : pw + w]
+    grad_k = np.zeros((co, ci * kh * kw), dtype=k.dtype)
+    for i, r0, r1, cols in _im2col_bands(x, kh, kw):
+        grad_k += grad_out[i, :, r0:r1].reshape(co, -1) @ cols.T
+    # the input gradient correlates grad_out with the flipped, transposed kernel
+    grad_x = _correlate(grad_out, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, grad_k, grad_bias
+    return grad_x, grad_k.reshape(k.shape), grad_bias
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -96,26 +122,23 @@ def maxpool2d_forward(x: np.ndarray):
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even, got {h}x{w}")
-    win = (
-        x.reshape(n, c, h // 2, 2, w // 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, h // 2, w // 2, 4)
-    )
-    argmax = win.argmax(axis=-1)
-    pooled = np.take_along_axis(win, argmax[..., None], axis=-1)[..., 0]
+    pooled = x[:, :, ::2, ::2]
+    argmax = np.zeros(pooled.shape, dtype=np.intp)
+    for idx, (dy, dx) in enumerate(_WINDOW[1:], start=1):
+        v = x[:, :, dy::2, dx::2]
+        better = v > pooled  # strict, so an earlier equal element keeps the win
+        pooled = np.where(better, v, pooled)
+        argmax = np.where(better, idx, argmax)
     return pooled, argmax
 
 
 def maxpool2d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Scatter grad_out back to the recorded argmax positions."""
     n, c, oh, ow = grad_out.shape
-    flat = np.zeros((n, c, oh, ow, 4), dtype=grad_out.dtype)
-    np.put_along_axis(flat, argmax[..., None], grad_out[..., None], axis=-1)
-    return (
-        flat.reshape(n, c, oh, ow, 2, 2)
-        .transpose(0, 1, 2, 4, 3, 5)
-        .reshape(n, c, 2 * oh, 2 * ow)
-    )
+    grad = np.empty((n, c, 2 * oh, 2 * ow), dtype=grad_out.dtype)
+    for idx, (dy, dx) in enumerate(_WINDOW):  # the four views cover grad exactly once
+        np.multiply(grad_out, argmax == idx, out=grad[:, :, dy::2, dx::2])
+    return grad
 
 
 def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -126,12 +149,13 @@ def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarr
         raise ValueError(f"kernel shape {k.shape} incompatible with input {x.shape}")
     if bias.shape != (co,):
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
-    out = np.empty((n, co, 2 * h, 2 * w), dtype=x.dtype)
-    for dy in range(2):
-        for dx in range(2):
-            out[:, :, dy::2, dx::2] = np.einsum(
-                "io,nihw->nohw", k[:, :, dy, dx], x, optimize=True
-            )
+    # one (4co, ci) GEMM gives every tap; row o*4 + dy*2 + dx lands at (2y+dy, 2x+dx)
+    taps = k.reshape(ci, 4 * co).T @ x.reshape(n, ci, h * w)
+    out = (
+        taps.reshape(n, co, 2, 2, h, w)
+        .transpose(0, 1, 4, 2, 5, 3)
+        .reshape(n, co, 2 * h, 2 * w)
+    )
     out += bias[None, :, None, None]
     return out
 
@@ -141,15 +165,16 @@ def upconv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     _, co, _, _ = k.shape
     if grad_out.shape != (n, co, 2 * h, 2 * w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, 2 * h, 2 * w)}")
-    grad_x = np.zeros_like(x)
-    grad_k = np.empty_like(k)
-    for dy in range(2):
-        for dx in range(2):
-            g = grad_out[:, :, dy::2, dx::2]
-            grad_k[:, :, dy, dx] = np.einsum("nihw,nohw->io", x, g, optimize=True)
-            grad_x += np.einsum("io,nohw->nihw", k[:, :, dy, dx], g, optimize=True)
+    # inverse pixel shuffle: (n, co, 2h, 2w) -> (n, 4co, h*w), rows as in the forward
+    g = (
+        grad_out.reshape(n, co, h, 2, w, 2)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(n, 4 * co, h * w)
+    )
+    grad_x = (k.reshape(ci, 4 * co) @ g).reshape(n, ci, h, w)
+    grad_k = (x.reshape(n, ci, h * w) @ g.transpose(0, 2, 1)).sum(axis=0)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, grad_k, grad_bias
+    return grad_x, grad_k.reshape(k.shape), grad_bias
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -202,6 +202,9 @@ def train(
             state.params, val_clips, test_slots, sgd_config.batch_size
         )
         log.append(EpochLog(epoch, lr, train_mse, val_mse, val_slots_mse))
+        if not math.isfinite(val_mse):
+            # a NaN never compares below best_val, so "best" would stay the init
+            raise NumericalError(f"non-finite validation loss at epoch {epoch}")
         if val_mse < best_val:
             best_val = val_mse
             best_params = state.params.copy()

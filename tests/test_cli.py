@@ -1,4 +1,6 @@
+import gc
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -223,3 +225,49 @@ def test_train_numerical_failure_exit_code(pipeline_dirs, tmp_path, capsys):
     code = run("train", "--config", path, "--data", data, "--out", tmp_path / "x.unp")
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_evaluate_rejects_partial_file_sets(pipeline_dirs, tmp_path, capsys, side):
+    data, slots = pipeline_dirs
+    dirs = {"pred": tmp_path / "pred", "truth": tmp_path / "truth"}
+    for out in dirs.values():
+        assert run("targets", "--data", data, "--slots", slots, "--out", out) == 0
+    (dirs[side] / "q__2019-05-02__t0008.tmm").unlink()
+    report = tmp_path / "r.json"
+    assert run("evaluate", "--pred", dirs["pred"], "--truth", dirs["truth"], "--report", report) == 2
+    assert "differ" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_train_non_finite_validation_loss_exit_code(pipeline_dirs, tmp_path, monkeypatch, capsys):
+    from gridcast import trainer
+
+    data, _ = pipeline_dirs
+    monkeypatch.setattr(trainer, "validation_losses", lambda *args: (float("nan"), float("nan")))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", train_config(tmp_path), "--data", data, "--out", ckpt) == 3
+    assert "validation loss" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "baseline", "targets", "mask"])
+def test_commands_close_every_movie(pipeline_dirs, tmp_path, command):
+    data, slots = pipeline_dirs
+    ckpt = tmp_path / "net.unp"
+    if command == "predict":
+        assert run("train", "--config", train_config(tmp_path, epochs=1), "--data", data, "--out", ckpt) == 0
+    src = ("--data", data, "--slots", slots, "--out", tmp_path / "out")
+    argv = {
+        "train": ("train", "--config", train_config(tmp_path, epochs=1), "--data", data, "--out", ckpt),
+        "predict": ("predict", "--ckpt", ckpt, *src),
+        "baseline": ("baseline", "--kind", "slot_avg", "--train", data, *src),
+        "targets": ("targets", *src),
+        "mask": ("mask", "--data", data, "--threshold", 0, "--out", tmp_path / "mask.tmm"),
+    }[command]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(*argv) == 0
+        gc.collect()
+    leaked = [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)]
+    assert not leaked

@@ -1,3 +1,6 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -320,3 +323,133 @@ def test_config_validation():
         tn.UNetConfig(depth=0)
     with pytest.raises(ValueError):
         tn.UNetConfig(in_channels=0)
+
+
+# ---------------------------------------------------------------------------
+# GEMM kernels against direct-loop references (float64)
+
+def naive_conv(x, k, b):
+    n, _, h, w = x.shape
+    co, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    out = np.empty((n, co, h, w))
+    for i in range(n):
+        for y in range(h):
+            for xx in range(w):
+                out[i, :, y, xx] = np.tensordot(k, xp[i, :, y : y + kh, xx : xx + kw], axes=3) + b
+    return out
+
+
+def naive_conv_backward(x, k, go):
+    n, _, h, w = x.shape
+    _, _, kh, kw = k.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
+    gxp = np.zeros_like(xp)
+    gk = np.zeros_like(k)
+    for i in range(n):
+        for y in range(h):
+            for xx in range(w):
+                g = go[i, :, y, xx]
+                gxp[i, :, y : y + kh, xx : xx + kw] += np.tensordot(g, k, axes=1)
+                gk += np.multiply.outer(g, xp[i, :, y : y + kh, xx : xx + kw])
+    return gxp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w], gk, go.sum(axis=(0, 2, 3))
+
+
+def assert_conv_matches_naive(x, k, rng):
+    b = rng.normal(size=k.shape[0])
+    go = rng.normal(size=(x.shape[0], k.shape[0], *x.shape[2:]))
+    np.testing.assert_allclose(tn.conv2d_forward(x, k, b), naive_conv(x, k, b), rtol=1e-12, atol=1e-12)
+    for got, want in zip(tn.conv2d_backward(x, k, go), naive_conv_backward(x, k, go)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-11)
+
+
+@pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (1, 3), (5, 3)])
+def test_conv_matches_direct_loops(kh, kw):
+    rng = np.random.default_rng(kh * 10 + kw)
+    assert_conv_matches_naive(rng.normal(size=(2, 3, 6, 7)), rng.normal(size=(4, 3, kh, kw)), rng)
+
+
+def test_conv_matches_direct_loops_across_row_bands():
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(1, 64, 17, 1000))
+    k = rng.normal(size=(2, 64, 3, 3))
+    rows = tn._BAND_ELEMENTS // (64 * 9 * 1000)
+    assert 1 <= rows < 17 and 17 % rows  # several bands, the last one short
+    assert_conv_matches_naive(x, k, rng)
+
+
+@pytest.mark.parametrize("ci,co", [(1, 1), (3, 2), (8, 5)])
+def test_upconv_matches_direct_loops(ci, co):
+    rng = np.random.default_rng(ci * 10 + co)
+    n, h, w = 2, 3, 4
+    x = rng.normal(size=(n, ci, h, w))
+    k = rng.normal(size=(ci, co, 2, 2))
+    b = rng.normal(size=co)
+    go = rng.normal(size=(n, co, 2 * h, 2 * w))
+    out = np.empty((n, co, 2 * h, 2 * w))
+    gx = np.zeros_like(x)
+    gk = np.zeros_like(k)
+    for i in range(n):
+        for y in range(h):
+            for xx in range(w):
+                for dy in range(2):
+                    for dx in range(2):
+                        out[i, :, 2 * y + dy, 2 * xx + dx] = x[i, :, y, xx] @ k[:, :, dy, dx] + b
+                        g = go[i, :, 2 * y + dy, 2 * xx + dx]
+                        gx[i, :, y, xx] += k[:, :, dy, dx] @ g
+                        gk[:, :, dy, dx] += np.multiply.outer(x[i, :, y, xx], g)
+    np.testing.assert_allclose(tn.upconv2d_forward(x, k, b), out, rtol=1e-12, atol=1e-12)
+    got = tn.upconv2d_backward(x, k, go)
+    for g, want in zip(got, (gx, gk, go.sum(axis=(0, 2, 3)))):
+        np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
+
+
+def test_maxpool_ties_route_to_first_row_major_element():
+    # channel s holds one window whose maxima sit at the positions in subset s
+    subsets = [s for r in range(1, 5) for s in itertools.combinations(range(4), r)]
+    x = np.zeros((1, len(subsets), 2, 2))
+    for ch, subset in enumerate(subsets):
+        for idx in subset:
+            x[0, ch, idx // 2, idx % 2] = 7.0
+    pooled, argmax = tn.maxpool2d_forward(x)
+    assert np.all(pooled == 7.0)
+    assert argmax[0, :, 0, 0].tolist() == [min(s) for s in subsets]
+    grad = tn.maxpool2d_backward(argmax, np.ones((1, len(subsets), 1, 1)))
+    for ch, subset in enumerate(subsets):
+        assert grad[0, ch].reshape(-1).tolist() == [float(i == min(subset)) for i in range(4)]
+
+
+def test_maxpool_matches_direct_loops_with_ties():
+    rng = np.random.default_rng(9)
+    x = rng.integers(0, 3, size=(2, 3, 6, 8)).astype(np.float64)  # many tied windows
+    go = rng.normal(size=(2, 3, 3, 4))
+    pooled, argmax = tn.maxpool2d_forward(x)
+    grad = tn.maxpool2d_backward(argmax, go)
+    want_grad = np.zeros_like(x)
+    for i, c, y, xx in np.ndindex(go.shape):
+        win = [x[i, c, 2 * y + idx // 2, 2 * xx + idx % 2] for idx in range(4)]
+        first = win.index(max(win))
+        assert pooled[i, c, y, xx] == max(win) and argmax[i, c, y, xx] == first
+        want_grad[i, c, 2 * y + first // 2, 2 * xx + first % 2] = go[i, c, y, xx]
+    assert np.array_equal(grad, want_grad)
+
+
+def test_conv_peak_memory_below_full_image_im2col():
+    # numpy reports its buffers to tracemalloc; a single unbanded column matrix
+    # for this layer would be ci*9*h*w float32 values (151 MB)
+    rng = np.random.default_rng(10)
+    x = rng.normal(size=(1, 64, 256, 256)).astype(np.float32)
+    k = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
+    b = np.zeros(64, np.float32)
+    go = rng.normal(size=x.shape).astype(np.float32)
+    full_cols = 64 * 9 * 256 * 256 * 4
+    tracemalloc.start()
+    try:
+        for call, args in ((tn.conv2d_forward, (x, k, b)), (tn.conv2d_backward, (x, k, go))):
+            tracemalloc.reset_peak()
+            result = call(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+            del result
+            assert peak < full_cols, f"{call.__name__} peaked at {peak / 1e6:.0f} MB"
+    finally:
+        tracemalloc.stop()
