@@ -256,9 +256,7 @@ def cmd_evaluate(args) -> int:
         with movie_store.open_movie(truth_dir / name) as m:
             truths.append(m.read_all())
     metrics = trainer.evaluate(preds, truths, cities)
-    report = dataclasses.asdict(metrics)
-    report["threads"] = args.threads
-    Path(args.report).write_text(json.dumps(report, indent=2) + "\n")
+    Path(args.report).write_text(json.dumps(dataclasses.asdict(metrics), indent=2) + "\n")
     print(f"overall MSE {metrics.overall:.6f} over {metrics.clips} clips -> {args.report}")
     return 0
 
@@ -337,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pred", required=True)
     sp.add_argument("--truth", required=True)
     sp.add_argument("--report", required=True, help="JSON output path")
-    sp.add_argument("--threads", type=int, default=1, help="recorded in the report")
     sp.set_defaults(func=cmd_evaluate)
 
     sp = sub.add_parser("mask", help="build an activity mask from movies")

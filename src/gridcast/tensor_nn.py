@@ -21,11 +21,15 @@ The U-Net is the classic encoder/decoder: ``depth`` resolution levels, a
 double-convolution (two 3x3 conv + ReLU) per level, max-pool between encoder
 levels, and up-conv + skip concatenation + double-convolution on the way up,
 finished by a 1x1 convolution with no output activation. Encoder level ``i``
-carries ``base_channels * 2**i`` features.
+carries ``base_channels * 2**i`` features. ``_layers`` is the single description
+of the network: the forward and backward passes, the parameter names and shapes,
+the init draw order and the checkpoint tensor order are all read from it.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -254,11 +258,11 @@ class UNetConfig:
 
 @dataclass
 class UNetParams:
-    """All weights of a U-Net, keyed by a stable name scheme.
-
-    enc{i}.conv{1,2}.{w,b} for i in 0..depth-1, up{i}.{w,b} and
-    dec{i}.conv{1,2}.{w,b} for i in depth-2..0, head.{w,b}. Dict insertion
-    order is the canonical serialization order.
+    """All weights of a U-Net: ``<layer>.w`` and ``<layer>.b`` for each conv
+    and up layer that ``_layers`` names (enc{i}.conv{1,2} for i in
+    0..depth-1, then up{i} and dec{i}.conv{1,2} for i in depth-2..0, then head).
+    Dict insertion order follows ``_layers`` and is the canonical
+    serialization order.
     """
 
     config: UNetConfig
@@ -273,27 +277,52 @@ class UNetParams:
         )
 
 
-def _param_shapes(cfg: UNetConfig):
-    shapes = {}
+def _layers(cfg: UNetConfig):
+    """The network as a flat list of (kind, name, weight_shape) in forward order.
+
+    Kinds: ``conv`` (weight (co, ci, kh, kw)), ``up`` (weight (ci, co, 2, 2)),
+    ``relu``, ``pool``, ``skip`` (push the activation) and ``concat`` (pop the
+    latest skip and put it in front of the current channels). Only conv and up
+    layers have a name and a weight shape; they come in canonical UNP1 order.
+    """
+    layers = []
+
+    def double_conv(prefix, ci, f):
+        layers.extend([
+            ("conv", f"{prefix}.conv1", (f, ci, 3, 3)),
+            ("relu", None, None),
+            ("conv", f"{prefix}.conv2", (f, f, 3, 3)),
+            ("relu", None, None),
+        ])
+
     prev = cfg.in_channels
     for i in range(cfg.depth):
         f = cfg.level_channels(i)
-        assert f == cfg.base_channels * 2**i
-        shapes[f"enc{i}.conv1.w"] = (f, prev, 3, 3)
-        shapes[f"enc{i}.conv1.b"] = (f,)
-        shapes[f"enc{i}.conv2.w"] = (f, f, 3, 3)
-        shapes[f"enc{i}.conv2.b"] = (f,)
+        double_conv(f"enc{i}", prev, f)
+        if i < cfg.depth - 1:
+            layers += [("skip", None, None), ("pool", None, None)]
         prev = f
     for i in reversed(range(cfg.depth - 1)):
         f = cfg.level_channels(i)
-        shapes[f"up{i}.w"] = (cfg.level_channels(i + 1), f, 2, 2)
-        shapes[f"up{i}.b"] = (f,)
-        shapes[f"dec{i}.conv1.w"] = (f, 2 * f, 3, 3)
-        shapes[f"dec{i}.conv1.b"] = (f,)
-        shapes[f"dec{i}.conv2.w"] = (f, f, 3, 3)
-        shapes[f"dec{i}.conv2.b"] = (f,)
-    shapes["head.w"] = (cfg.out_channels, cfg.level_channels(0), 1, 1)
-    shapes["head.b"] = (cfg.out_channels,)
+        layers += [("up", f"up{i}", (2 * f, f, 2, 2)), ("concat", None, None)]
+        double_conv(f"dec{i}", 2 * f, f)
+    layers.append(("conv", "head", (cfg.out_channels, cfg.level_channels(0), 1, 1)))
+    return layers
+
+
+def _weights(cfg: UNetConfig):
+    """Yield (name, weight shape, fan-in, output channels) per conv/up layer."""
+    for kind, name, shape in _layers(cfg):
+        if name is not None:
+            ci, co = (shape[0], shape[1]) if kind == "up" else (shape[1], shape[0])
+            yield name, shape, ci * shape[2] * shape[3], co
+
+
+def _param_shapes(cfg: UNetConfig):
+    shapes = {}
+    for name, shape, _, co in _weights(cfg):
+        shapes[f"{name}.w"] = shape
+        shapes[f"{name}.b"] = (co,)
     return shapes
 
 
@@ -301,41 +330,16 @@ def init_params(cfg: UNetConfig, seed: int, dtype=np.float32) -> UNetParams:
     """He-style fan-in init for weights, zeros for biases, seeded and deterministic."""
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name, shape in _param_shapes(cfg).items():
-        if name.endswith(".b"):
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
-            fan_in = int(np.prod(shape[1:])) if len(shape) == 4 else shape[0]
-            if name.startswith("up"):
-                fan_in = shape[0] * shape[2] * shape[3]
-            std = np.sqrt(2.0 / fan_in)
-            tensors[name] = rng.normal(0.0, std, size=shape).astype(dtype)
+    for name, shape, fan_in, co in _weights(cfg):
+        tensors[f"{name}.w"] = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(dtype)
+        tensors[f"{name}.b"] = np.zeros(co, dtype=dtype)
     return UNetParams(cfg, tensors)
 
 
-def _double_conv(tensors, prefix, x):
-    z1 = conv2d_forward(x, tensors[f"{prefix}.conv1.w"], tensors[f"{prefix}.conv1.b"])
-    a1 = relu_forward(z1)
-    z2 = conv2d_forward(a1, tensors[f"{prefix}.conv2.w"], tensors[f"{prefix}.conv2.b"])
-    a2 = relu_forward(z2)
-    return a2, (x, z1, a1, z2)
-
-
-def _double_conv_backward(tensors, prefix, cache, grad_out, grads):
-    x, z1, a1, z2 = cache
-    g = relu_backward(z2, grad_out)
-    g, gk, gb = conv2d_backward(a1, tensors[f"{prefix}.conv2.w"], g)
-    grads[f"{prefix}.conv2.w"] = gk
-    grads[f"{prefix}.conv2.b"] = gb
-    g = relu_backward(z1, g)
-    g, gk, gb = conv2d_backward(x, tensors[f"{prefix}.conv1.w"], g)
-    grads[f"{prefix}.conv1.w"] = gk
-    grads[f"{prefix}.conv1.b"] = gb
-    return g
-
-
 def unet_forward_cached(params: UNetParams, x: np.ndarray):
-    """Forward pass keeping every intermediate needed by the backward pass."""
+    """Forward pass keeping what the backward pass needs: one cache entry per
+    layer of ``_layers``, the input of conv/relu/up, the argmax of pool, the
+    skip's channel count for concat, and None for skip."""
     cfg = params.config
     n, ci, h, w = x.shape
     if ci != cfg.in_channels:
@@ -344,31 +348,26 @@ def unet_forward_cached(params: UNetParams, x: np.ndarray):
     if h % m or w % m:
         raise ValueError(f"spatial dims {h}x{w} not divisible by {m}")
     t = params.tensors
-
-    enc_caches = []
-    pool_args = []
-    skips = []
-    cur = x
-    for i in range(cfg.depth):
-        cur, cache = _double_conv(t, f"enc{i}", cur)
-        enc_caches.append(cache)
-        if i < cfg.depth - 1:
-            skips.append(cur)
-            cur, argmax = maxpool2d_forward(cur)
-            pool_args.append(argmax)
-
-    dec_caches = []
-    up_inputs = []
-    for i in reversed(range(cfg.depth - 1)):
-        up_inputs.append(cur)
-        up = upconv2d_forward(cur, t[f"up{i}.w"], t[f"up{i}.b"])
-        cur = concat_channels(skips[i], up)
-        cur, cache = _double_conv(t, f"dec{i}", cur)
-        dec_caches.append(cache)
-
-    head_in = cur
-    out = conv2d_forward(cur, t["head.w"], t["head.b"])
-    return out, (enc_caches, pool_args, dec_caches, up_inputs, head_in)
+    cache, skips = [], []
+    for kind, name, _ in _layers(cfg):
+        entry = x
+        if kind == "conv":
+            x = conv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"])
+        elif kind == "up":
+            x = upconv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"])
+        elif kind == "relu":
+            x = relu_forward(x)
+        elif kind == "pool":
+            x, entry = maxpool2d_forward(x)
+        elif kind == "skip":
+            skips.append(x)
+            entry = None
+        else:  # concat
+            skip = skips.pop()
+            entry = skip.shape[1]
+            x = concat_channels(skip, x)
+        cache.append(entry)
+    return x, cache
 
 
 def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
@@ -378,36 +377,27 @@ def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
 
 
 def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray):
-    cfg = params.config
+    """Run ``_layers`` in reverse over the forward cache; returns (parameter
+    gradients in canonical order, input gradient)."""
     t = params.tensors
-    enc_caches, pool_args, dec_caches, up_inputs, head_in = cache
-
     grads: dict[str, np.ndarray] = {}
-    g, gk, gb = conv2d_backward(head_in, t["head.w"], grad_out)
-    grads["head.w"] = gk
-    grads["head.b"] = gb
-
-    enc_grads = {}  # gradient flowing into each skip connection
-    levels = list(reversed(range(cfg.depth - 1)))
-    for pos in reversed(range(len(levels))):
-        i = levels[pos]
-        g = _double_conv_backward(t, f"dec{i}", dec_caches[pos], g, grads)
-        skip_c = cfg.level_channels(i)
-        g_skip, g_up = split_channels(g, skip_c)
-        enc_grads[i] = g_skip
-        g, gk, gb = upconv2d_backward(up_inputs[pos], t[f"up{i}.w"], g_up)
-        grads[f"up{i}.w"] = gk
-        grads[f"up{i}.b"] = gb
-
-    for i in reversed(range(cfg.depth)):
-        if i < cfg.depth - 1:
-            g = maxpool2d_backward(pool_args[i], g)
-            g = g + enc_grads[i]
-        g = _double_conv_backward(t, f"enc{i}", enc_caches[i], g, grads)
-
-    # reorder to canonical parameter order
-    grads = {name: grads[name] for name in params.tensors}
-    return grads, g
+    skip_grads = []  # concat pushes the skip's share of the gradient, skip adds it back
+    g = grad_out
+    for (kind, name, _), entry in zip(reversed(_layers(params.config)), reversed(cache)):
+        if kind == "conv":
+            g, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(entry, t[f"{name}.w"], g)
+        elif kind == "up":
+            g, grads[f"{name}.w"], grads[f"{name}.b"] = upconv2d_backward(entry, t[f"{name}.w"], g)
+        elif kind == "relu":
+            g = relu_backward(entry, g)
+        elif kind == "pool":
+            g = maxpool2d_backward(entry, g)
+        elif kind == "skip":
+            g = g + skip_grads.pop()
+        else:  # concat
+            g_skip, g = split_channels(g, entry)
+            skip_grads.append(g_skip)
+    return {name: grads[name] for name in t}, g
 
 
 def unet_backward(params: UNetParams, x: np.ndarray, grad_out: np.ndarray):
@@ -425,7 +415,8 @@ def unet_backward(params: UNetParams, x: np.ndarray, grad_out: np.ndarray):
 # checkpoint format UNP1
 
 def save_params(params: UNetParams, path: str | Path) -> Path:
-    """Write a UNP1 checkpoint.
+    """Write a UNP1 checkpoint atomically: into ``<path>.part``, then renamed
+    over ``path``, so a failed write leaves any earlier checkpoint intact.
 
     Layout (little-endian): magic "UNP1", u16 version, u16 depth, u32
     in_channels, u32 out_channels, u32 base_channels, u8 normalize, u32 tensor
@@ -434,51 +425,60 @@ def save_params(params: UNetParams, path: str | Path) -> Path:
     """
     cfg = params.config
     path = Path(path)
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(
-            struct.pack(
-                "<HHIIIBI",
-                CKPT_VERSION,
-                cfg.depth,
-                cfg.in_channels,
-                cfg.out_channels,
-                cfg.base_channels,
-                int(cfg.normalize),
-                len(params.tensors),
-            )
-        )
-        for name, arr in params.tensors.items():
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<H", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+    tmp = path.with_name(path.name + ".part")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CKPT_MAGIC)
+            f.write(struct.pack(
+                "<HHIIIBI", CKPT_VERSION, cfg.depth, cfg.in_channels, cfg.out_channels,
+                cfg.base_channels, int(cfg.normalize), len(params.tensors),
+            ))
+            for name, arr in params.tensors.items():
+                nb = name.encode("utf-8")
+                f.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 
 def load_params(path: str | Path) -> UNetParams:
+    """Read a UNP1 checkpoint. Raises ValueError unless the file holds exactly
+    the tensors of its config, in canonical order, with finite values and
+    nothing after the last one."""
     with open(path, "rb") as f:
-        if f.read(4) != CKPT_MAGIC:
+
+        def read(n: int) -> bytes:
+            data = f.read(n)
+            if len(data) != n:
+                raise ValueError(f"{path} is truncated")
+            return data
+
+        if read(4) != CKPT_MAGIC:
             raise ValueError(f"{path} is not a UNP1 checkpoint")
-        version, depth, ci, co, base, normalize, count = struct.unpack(
-            "<HHIIIBI", f.read(21)
-        )
+        version, depth, ci, co, base, normalize, count = struct.unpack("<HHIIIBI", read(21))
         if version != CKPT_VERSION:
             raise ValueError(f"unsupported checkpoint version {version}")
         cfg = UNetConfig(depth, ci, co, base, bool(normalize))
+        if cfg.level_channels(depth - 1) >= 2**32:  # dims are u32; also bounds the depth
+            raise ValueError(f"{path}: config {cfg} has channel counts beyond u32")
+        expected = _param_shapes(cfg)
+        if count != len(expected):
+            raise ValueError(f"checkpoint holds {count} tensors, config {cfg} has {len(expected)}")
         tensors = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<H", f.read(2))
-            name = f.read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", f.read(1))
-            dims = struct.unpack(f"<{rank}I", f.read(4 * rank))
-            n = int(np.prod(dims))
-            data = np.frombuffer(f.read(4 * n), dtype="<f4").reshape(dims)
-            tensors[name] = data.astype(np.float32)
-    params = UNetParams(cfg, tensors)
-    expected = _param_shapes(cfg)
-    if {k: v.shape for k, v in tensors.items()} != expected:
-        raise ValueError(f"checkpoint tensors do not match config {cfg}")
-    return params
+        for name, shape in expected.items():
+            (name_len,) = struct.unpack("<H", read(2))
+            got = read(name_len).decode("utf-8")
+            (rank,) = struct.unpack("<B", read(1))
+            dims = struct.unpack(f"<{rank}I", read(4 * rank))
+            if (got, dims) != (name, shape):  # checked before the size is trusted
+                raise ValueError(f"checkpoint tensor {got!r} {dims} where {name!r} {shape} belongs")
+            data = np.frombuffer(read(4 * math.prod(dims)), dtype="<f4")
+            if not np.isfinite(data).all():
+                raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
+            tensors[name] = data.reshape(dims).astype(np.float32)
+        if f.read(1):
+            raise ValueError(f"{path} has bytes after its last tensor")
+    return UNetParams(cfg, tensors)

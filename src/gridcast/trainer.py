@@ -33,7 +33,6 @@ from .tensor_nn import (
     pad_spatial,
     round_half_up_uint8,
     unet_backward_cached,
-    unet_forward,
     unet_forward_cached,
 )
 
@@ -145,13 +144,12 @@ def _stack_inputs(clips: list[Clip], cfg: UNetConfig) -> tuple[np.ndarray, np.nd
     return x, y
 
 
-def _batch_forward(params: UNetParams, x: np.ndarray, want_cache: bool):
+def _batch_forward(params: UNetParams, x: np.ndarray):
+    """Forward on x zero-padded to the U-Net's multiple; returns (prediction
+    cropped back to x's grid, cache)."""
     xp, hw = pad_spatial(x, params.config.spatial_multiple)
-    if want_cache:
-        out, cache = unet_forward_cached(params, xp)
-    else:
-        out, cache = unet_forward(params, xp), None
-    return crop_spatial(out, hw), cache, hw, out.shape
+    out, cache = unet_forward_cached(params, xp)
+    return crop_spatial(out, hw), cache
 
 
 def _loss_scale(cfg: UNetConfig) -> float:
@@ -184,14 +182,14 @@ def train(
         for lo in range(0, len(order), sgd_config.batch_size):
             batch = [train_clips[i] for i in order[lo : lo + sgd_config.batch_size]]
             x, y = _stack_inputs(batch, unet_config)
-            pred, cache, hw, out_shape = _batch_forward(state.params, x, want_cache=True)
+            pred, cache = _batch_forward(state.params, x)
             loss, grad_pred = mse_loss(pred, y)
             if not math.isfinite(loss):
                 raise NumericalError(
                     f"non-finite training loss at epoch {epoch} step {state.step}"
                 )
-            grad_out = np.zeros(out_shape, dtype=pred.dtype)
-            grad_out[..., : hw[0], : hw[1]] = grad_pred
+            # the gradient of a crop is a zero pad
+            grad_out, _ = pad_spatial(grad_pred, unet_config.spatial_multiple)
             grads, _ = unet_backward_cached(state.params, cache, grad_out)
             sgd_step(state, grads, lr, sgd_config.momentum, sgd_config.nesterov)
             total_loss += loss * len(batch)
@@ -226,7 +224,7 @@ def validation_losses(
     for lo in range(0, len(clips), batch_size):
         batch = clips[lo : lo + batch_size]
         x, y = _stack_inputs(batch, cfg)
-        pred, _, _, _ = _batch_forward(params, x, want_cache=False)
+        pred = _batch_forward(params, x)[0]
         err = pred - y
         per_clip.extend(np.mean(err * err, axis=(1, 2, 3)).tolist())
     full = scale * float(np.mean(per_clip))
@@ -251,7 +249,7 @@ def predict(params: UNetParams, clip: Clip) -> np.ndarray:
             f"out_channels {cfg.out_channels} not divisible by {TARGET_FRAMES} frames"
         )
     x, _ = _stack_inputs([clip], cfg)
-    out, _, _, _ = _batch_forward(params, x, want_cache=False)
+    out = _batch_forward(params, x)[0]
     out = out[0].astype(np.float64)
     if cfg.normalize:
         out = out * 255.0 + 128.0

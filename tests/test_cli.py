@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from gridcast import tensor_nn as tn
 from gridcast.cli import main
 from gridcast.dataset import synth_movie
 from gridcast.movie_store import open_movie
@@ -119,7 +120,7 @@ def test_evaluate_identical_dirs_reports_zero(pipeline_dirs, tmp_path, capsys):
     assert doc["per_frame"] == [0.0, 0.0, 0.0]
     assert doc["per_city"] == {"q": 0.0}
     assert doc["clips"] == 6
-    assert doc["threads"] == 1
+    assert set(doc) == {"overall", "per_frame", "per_channel", "per_city", "clips"}
 
 
 def test_evaluate_single_pixel_error_report(tmp_path):
@@ -249,6 +250,21 @@ def test_train_non_finite_validation_loss_exit_code(pipeline_dirs, tmp_path, mon
     assert run("train", "--config", train_config(tmp_path), "--data", data, "--out", ckpt) == 3
     assert "validation loss" in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("fault", ["short_header", "padded", "nan"])
+def test_predict_rejects_broken_checkpoint(pipeline_dirs, tmp_path, capsys, fault):
+    data, slots = pipeline_dirs
+    params = tn.init_params(tn.UNetConfig(depth=1, in_channels=36, out_channels=9, base_channels=2), 0)
+    if fault == "nan":
+        params.tensors["head.w"][0, 0, 0, 0] = np.nan
+    ckpt = tn.save_params(params, tmp_path / "net.unp")
+    good = ckpt.read_bytes()
+    ckpt.write_bytes({"short_header": good[:15], "padded": good + bytes(8)}.get(fault, good))
+    out = tmp_path / "pred"
+    assert run("predict", "--ckpt", ckpt, "--data", data, "--slots", slots, "--out", out) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "baseline", "targets", "mask"])

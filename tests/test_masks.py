@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,43 +8,50 @@ from gridcast.masks import Mask, apply_mask, build_mask, load_mask, save_mask
 from gridcast.movie_store import ingest, open_movie
 
 
-def store(tmp_path, raw, name="m.tmm", day="2019-03-01"):
-    return open_movie(ingest(raw, "c", day, tmp_path / name))
+@pytest.fixture
+def store(tmp_path):
+    """Store one movie of city "c"; the movies close at teardown."""
+    with contextlib.ExitStack() as stack:
+
+        def store(raw, name="m.tmm", day="2019-03-01"):
+            return stack.enter_context(open_movie(ingest(raw, "c", day, tmp_path / name)))
+
+        yield store
 
 
-def test_zero_movie_threshold_zero_has_no_active_pixels(tmp_path):
-    m = store(tmp_path, np.zeros((10, 3, 4, 4), dtype=np.uint8))
+def test_zero_movie_threshold_zero_has_no_active_pixels(store):
+    m = store(np.zeros((10, 3, 4, 4), dtype=np.uint8))
     mask = build_mask([m], threshold=0)
     assert not mask.active.any()
     assert mask.source_span == 10
 
 
-def test_single_hot_pixel(tmp_path):
+def test_single_hot_pixel(store):
     raw = np.zeros((10, 3, 5, 6), dtype=np.uint8)
     raw[7, 1, 2, 3] = 255
-    mask = build_mask([store(tmp_path, raw)], threshold=0)
+    mask = build_mask([store(raw)], threshold=0)
     expected = np.zeros((5, 6), dtype=bool)
     expected[2, 3] = True
     assert np.array_equal(mask.active, expected)
 
 
-def test_matches_brute_force_oracle(tmp_path):
+def test_matches_brute_force_oracle(store):
     rng = np.random.default_rng(9)
     movies = []
     raws = []
     for i in range(3):
         raw = rng.integers(0, 256, size=(12, 3, 6, 6), dtype=np.uint8)
         raws.append(raw)
-        movies.append(store(tmp_path, raw, name=f"{i}.tmm", day=f"2019-03-{i+1:02d}"))
+        movies.append(store(raw, name=f"{i}.tmm", day=f"2019-03-{i+1:02d}"))
     for threshold in (0, 50, 254, 255):
         mask = build_mask(movies, threshold)
         brute = np.stack(raws).max(axis=(0, 1, 2)) > threshold
         assert np.array_equal(mask.active, brute)
 
 
-def test_threshold_monotonicity(tmp_path):
+def test_threshold_monotonicity(store):
     rng = np.random.default_rng(10)
-    m = store(tmp_path, rng.integers(0, 256, size=(8, 3, 5, 5), dtype=np.uint8))
+    m = store(rng.integers(0, 256, size=(8, 3, 5, 5), dtype=np.uint8))
     prev = build_mask([m], 0).active
     for threshold in (10, 60, 130, 255):
         cur = build_mask([m], threshold).active
@@ -92,10 +101,10 @@ def test_zero_threshold_truth_mask_never_hurts_on_dead_pixels(seed):
     assert err(masked) <= err(pred)
 
 
-def test_mask_file_roundtrip(tmp_path):
+def test_mask_file_roundtrip(store, tmp_path):
     rng = np.random.default_rng(12)
     raw = rng.integers(0, 256, size=(6, 3, 5, 5), dtype=np.uint8)
-    mask = build_mask([store(tmp_path, raw)], threshold=40)
+    mask = build_mask([store(raw)], threshold=40)
     path = tmp_path / "mask.tmm"
     save_mask(mask, path)
     loaded = load_mask(path)

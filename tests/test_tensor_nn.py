@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradcheck import max_rel_err, numeric_grad
 from gridcast import tensor_nn as tn
@@ -316,6 +317,81 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
         tn.load_params(path)
+
+
+def _small_params(seed=1):
+    return tn.init_params(tn.UNetConfig(depth=2, in_channels=2, out_channels=3, base_channels=1), seed)
+
+
+@pytest.mark.parametrize("fault", ["short_header", "short_tensor", "padded", "nan", "inf", "deep"])
+def test_checkpoint_rejects_truncated_padded_and_non_finite(tmp_path, fault):
+    params = _small_params()
+    if fault in ("nan", "inf"):
+        params.tensors["up0.w"][0, 0, 1, 1] = float(fault)
+    path = tn.save_params(params, tmp_path / "net.unp")
+    good = path.read_bytes()
+    edited = {
+        "short_header": good[:15],
+        "short_tensor": good[:-1],
+        "padded": good + bytes(8),
+        "deep": good[:6] + (65535).to_bytes(2, "little") + good[8:],  # rejected before 65535 levels are built
+    }
+    path.write_bytes(edited.get(fault, good))
+    with pytest.raises(ValueError):
+        tn.load_params(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_checkpoint_every_strict_prefix_is_rejected(tmp_path_factory, data):
+    path = tn.save_params(_small_params(), tmp_path_factory.mktemp("ckpt") / "net.unp")
+    good = path.read_bytes()
+    path.write_bytes(good[: data.draw(st.integers(0, len(good) - 1), label="length")])
+    with pytest.raises(ValueError):
+        tn.load_params(path)
+
+
+def test_failed_checkpoint_write_leaves_old_file(tmp_path):
+    params = _small_params()
+    path = tn.save_params(params, tmp_path / "net.unp")
+    before = path.read_bytes()
+    # the last name cannot be encoded, so the write fails after the other tensors
+    broken = tn.UNetParams(params.config, {**_small_params(2).tensors, "\ud800": np.zeros(1)})
+    with pytest.raises(UnicodeEncodeError):
+        tn.save_params(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["net.unp"]
+
+
+def test_parameter_order_is_canonical():
+    """Tensor order is the UNP1 serialization order and the init draw order."""
+    cfg = tn.UNetConfig(depth=3, in_channels=6, out_channels=9, base_channels=4)
+    expected = [
+        ("enc0.conv1.w", (4, 6, 3, 3)), ("enc0.conv1.b", (4,)),
+        ("enc0.conv2.w", (4, 4, 3, 3)), ("enc0.conv2.b", (4,)),
+        ("enc1.conv1.w", (8, 4, 3, 3)), ("enc1.conv1.b", (8,)),
+        ("enc1.conv2.w", (8, 8, 3, 3)), ("enc1.conv2.b", (8,)),
+        ("enc2.conv1.w", (16, 8, 3, 3)), ("enc2.conv1.b", (16,)),
+        ("enc2.conv2.w", (16, 16, 3, 3)), ("enc2.conv2.b", (16,)),
+        ("up1.w", (16, 8, 2, 2)), ("up1.b", (8,)),
+        ("dec1.conv1.w", (8, 16, 3, 3)), ("dec1.conv1.b", (8,)),
+        ("dec1.conv2.w", (8, 8, 3, 3)), ("dec1.conv2.b", (8,)),
+        ("up0.w", (8, 4, 2, 2)), ("up0.b", (4,)),
+        ("dec0.conv1.w", (4, 8, 3, 3)), ("dec0.conv1.b", (4,)),
+        ("dec0.conv2.w", (4, 4, 3, 3)), ("dec0.conv2.b", (4,)),
+        ("head.w", (9, 4, 1, 1)), ("head.b", (9,)),
+    ]
+    params = tn.init_params(cfg, seed=5)
+    assert [(k, v.shape) for k, v in params.tensors.items()] == expected
+    rng = np.random.default_rng(5)
+    for name, shape in expected:
+        if name.endswith(".b"):
+            assert not params.tensors[name].any()
+            continue
+        # fan-in counts input channels: axis 1 of a conv weight, axis 0 of an up-conv's
+        fan_in = (shape[0] if name.startswith("up") else shape[1]) * shape[2] * shape[3]
+        draw = rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape).astype(np.float32)
+        assert np.array_equal(params.tensors[name], draw), name
 
 
 def test_config_validation():

@@ -117,7 +117,8 @@ def test_train_log_shape_and_columns(toy_clips, tmp_path):
         for v in (row.train_mse, row.val_mse, row.val_test_slots_mse):
             assert math.isfinite(v)
     path = write_epoch_log(tmp_path / "log.csv", result.log)
-    rows = list(csv.reader(path.open()))
+    with path.open(newline="") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["epoch", "lr", "train_mse", "val_mse", "val_test_slots_mse"]
     assert len(rows) == 1 + 3
 
