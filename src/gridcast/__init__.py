@@ -1,18 +1,16 @@
 """Traffic grid-movie forecasting: storage, clips, U-Net, baselines, evaluation."""
 
-from .movie_store import FrameBlock, MovieFormatError, MovieHeader, MovieReader, ingest, open_movie
+from .movie_store import MovieFormatError, MovieHeader, MovieReader, ingest, open_movie
 from .dataset import (
     Clip,
     ClipSpec,
     CollapsedSample,
-    TemporalFeatures,
     collapse_time,
     enumerate_clips,
     expand_time,
     index_movies,
     load_clip,
     synth_movie,
-    temporal_features,
 )
 from .baselines import (
     SlotAverageModel,

@@ -48,7 +48,7 @@ def time_slot_average(train_movies: list[MovieReader], slots) -> SlotAverageMode
             n = min(n, hdr.t - s0)
             if n <= 0:
                 continue
-            frames = m.read_frames(s0, n).frames.astype(np.int64)
+            frames = m.read_frames(s0, n).astype(np.int64)
             for j in range(n):
                 slot = s0 + j
                 if slot in sums:

@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 usage or data error, 3 numerical failure.
 
 The train command reads a single JSON config with three optional sections,
 "unet", "sgd" and "data"; every omitted key falls back to the built-in
-defaults (the published training recipe). Example:
+defaults (the published training recipe), and an unknown section or key is an
+error (exit 2). Example:
 
     {
       "unet": {"depth": 5, "in_channels": 36, "out_channels": 9,
@@ -46,14 +47,6 @@ def _open_movies(stack: contextlib.ExitStack, data_dir: Path, city: str | None =
 
 def _clip_name(spec: dataset.ClipSpec) -> str:
     return f"{spec.city}__{spec.day}__t{spec.t_start:04d}.tmm"
-
-
-def _load_slots(path: str | None):
-    return dataset.read_slots(path) if path else None
-
-
-def _write_clip_frames(frames: np.ndarray, spec: dataset.ClipSpec, out_dir: Path):
-    movie_store.ingest(frames, spec.city, spec.day, out_dir / _clip_name(spec))
 
 
 def cmd_ingest(args) -> int:
@@ -99,17 +92,40 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _unet_config(cfg: dict) -> tensor_nn.UNetConfig:
-    return tensor_nn.UNetConfig(**cfg.get("unet", {}))
+_DATA_DEFAULTS = {
+    "city": None, "stride": 1, "val_stride": None, "region": None, "train_dates": None,
+    "val_dates": None, "test_slots_file": None, "train_on_test_slots_only": False,
+}
 
 
-def _sgd_config(cfg: dict) -> trainer.SGDConfig:
-    return trainer.SGDConfig(**cfg.get("sgd", {}))
+def _object(value, where: str, keys) -> dict:
+    """``value`` itself; ValueError unless it is a JSON object with keys only from ``keys``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} in {where}")
+    return value
+
+
+def _read_config(path) -> tuple[tensor_nn.UNetConfig, trainer.SGDConfig, dict]:
+    """The train config's U-Net and SGD configs and its data section with
+    defaults filled in."""
+    cfg = _object(json.loads(Path(path).read_text()), "config", ("unet", "sgd", "data"))
+    unet, sgd, data = (
+        _object(cfg.get(name, {}), f"config section {name!r}", keys)
+        for name, keys in (
+            ("unet", [f.name for f in dataclasses.fields(tensor_nn.UNetConfig)]),
+            ("sgd", [f.name for f in dataclasses.fields(trainer.SGDConfig)]),
+            ("data", _DATA_DEFAULTS),
+        )
+    )
+    return tensor_nn.UNetConfig(**unet), trainer.SGDConfig(**sgd), {**_DATA_DEFAULTS, **data}
 
 
 def _split_dates(dates: list[str], data_cfg: dict) -> tuple[list[str], list[str]]:
-    train_dates = data_cfg.get("train_dates")
-    val_dates = data_cfg.get("val_dates")
+    train_dates = data_cfg["train_dates"]
+    val_dates = data_cfg["val_dates"]
     if train_dates is None and val_dates is None:
         # default split: last quarter of the days (at least one) validates
         n_val = max(1, len(dates) // 4)
@@ -129,13 +145,10 @@ def _load_clips(specs, movies_by_key, region):
 
 
 def cmd_train(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
-    unet_cfg = _unet_config(cfg)
-    sgd_cfg = _sgd_config(cfg)
-    data_cfg = cfg.get("data", {})
+    unet_cfg, sgd_cfg, data_cfg = _read_config(args.config)
 
     with contextlib.ExitStack() as stack:
-        movies = _open_movies(stack, Path(args.data), data_cfg.get("city"))
+        movies = _open_movies(stack, Path(args.data), data_cfg["city"])
         cities = sorted({m.header.city for m in movies})
         if len(cities) > 1:
             raise ValueError(
@@ -144,17 +157,18 @@ def cmd_train(args) -> int:
         dates = sorted({m.header.date for m in movies})
         train_dates, val_dates = _split_dates(dates, data_cfg)
         by_key = dataset.index_movies(movies)
-        test_slots = _load_slots(data_cfg.get("test_slots_file"))
-        stride = data_cfg.get("stride", 1)
-        val_stride = data_cfg.get("val_stride") or stride
-        region = data_cfg.get("region")
+        slots_file = data_cfg["test_slots_file"]
+        test_slots = dataset.read_slots(slots_file) if slots_file else None
+        stride = data_cfg["stride"]
+        val_stride = data_cfg["val_stride"] or stride
+        region = data_cfg["region"]
 
         train_movies = [m for m in movies if m.header.date in train_dates]
         val_movies = [m for m in movies if m.header.date in val_dates]
         train_specs = dataset.enumerate_clips(
             train_movies,
             stride,
-            test_slots if data_cfg.get("train_on_test_slots_only") else None,
+            test_slots if data_cfg["train_on_test_slots_only"] else None,
         )
         val_specs = dataset.enumerate_clips(val_movies, val_stride)
         train_clips = _load_clips(train_specs, by_key, region)
@@ -170,69 +184,56 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predict_specs(stack, args):
-    movies = _open_movies(stack, Path(args.data))
-    slots = _load_slots(args.slots)
-    specs = dataset.enumerate_clips(movies, args.stride, slots)
-    return movies, dataset.index_movies(movies), specs
+def _write_per_clip(args, what: str, make_frames) -> int:
+    """Write one 3-frame movie per clip of ``--data`` (enumerated with
+    ``--slots`` and ``--stride``) into ``--out``, named by ``_clip_name``.
+
+    ``make_frames(stack, movies, specs)`` runs once before the loop and returns
+    ``frames_of(spec, clip)``, which gives a clip's 3 frames; ``clip()`` loads
+    the clip from its movie.
+    """
+    out_dir = Path(args.out)
+    with contextlib.ExitStack() as stack:
+        movies = _open_movies(stack, Path(args.data))
+        slots = dataset.read_slots(args.slots) if args.slots else None
+        specs = dataset.enumerate_clips(movies, args.stride, slots)
+        by_key = dataset.index_movies(movies)
+        frames_of = make_frames(stack, movies, specs)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for spec in specs:
+            frames = frames_of(spec, lambda: dataset.load_clip(spec, by_key))
+            movie_store.ingest(frames, spec.city, spec.day, out_dir / _clip_name(spec))
+    print(f"wrote {len(specs)} {what} files to {out_dir}")
+    return 0
 
 
 def cmd_predict(args) -> int:
     params = tensor_nn.load_params(args.ckpt)
-    out_dir = Path(args.out)
-    with contextlib.ExitStack() as stack:
-        _, by_key, specs = _predict_specs(stack, args)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for spec in specs:
-            clip = dataset.load_clip(spec, by_key)
-            _write_clip_frames(trainer.predict(params, clip), spec, out_dir)
-    print(f"wrote {len(specs)} prediction files to {out_dir}")
-    return 0
+    return _write_per_clip(args, "prediction", lambda *_: lambda spec, clip: trainer.predict(params, clip()))
 
 
 def cmd_baseline(args) -> int:
-    out_dir = Path(args.out)
-    with contextlib.ExitStack() as stack:
-        movies, by_key, specs = _predict_specs(stack, args)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        model = None
-        if args.kind == "slot_avg":
-            train_movies = _open_movies(stack, Path(args.train)) if args.train else movies
-            needed = sorted(
-                {
-                    s.t_start + dataset.INPUT_FRAMES + j
-                    for s in specs
-                    for j in range(dataset.TARGET_FRAMES)
-                }
-            )
-            model = baselines.time_slot_average(train_movies, needed)
-            if args.model_out:
-                baselines.save_model(model, args.model_out)
-        for spec in specs:
-            if args.kind == "slot_avg":
-                pred = baselines.predict_slot_average(model, spec)
-            else:
-                clip = dataset.load_clip(spec, by_key)
-                pred = (
-                    baselines.persistence(clip)
-                    if args.kind == "persistence"
-                    else baselines.zero_baseline(clip)
-                )
-            _write_clip_frames(pred, spec, out_dir)
-    print(f"wrote {len(specs)} {args.kind} baseline files to {out_dir}")
-    return 0
+    def make_frames(stack, movies, specs):
+        if args.kind == "persistence":
+            return lambda spec, clip: baselines.persistence(clip())
+        if args.kind == "zero":
+            return lambda spec, clip: baselines.zero_baseline(clip())
+        train_movies = _open_movies(stack, Path(args.train)) if args.train else movies
+        needed = {
+            s.t_start + dataset.INPUT_FRAMES + j
+            for s in specs
+            for j in range(dataset.TARGET_FRAMES)
+        }
+        model = baselines.time_slot_average(train_movies, needed)
+        if args.model_out:
+            baselines.save_model(model, args.model_out)
+        return lambda spec, clip: baselines.predict_slot_average(model, spec)
+
+    return _write_per_clip(args, f"{args.kind} baseline", make_frames)
 
 
 def cmd_targets(args) -> int:
-    out_dir = Path(args.out)
-    with contextlib.ExitStack() as stack:
-        _, by_key, specs = _predict_specs(stack, args)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for spec in specs:
-            clip = dataset.load_clip(spec, by_key)
-            _write_clip_frames(clip.target, spec, out_dir)
-    print(f"wrote {len(specs)} target files to {out_dir}")
-    return 0
+    return _write_per_clip(args, "target", lambda *_: lambda spec, clip: clip().target)
 
 
 def cmd_evaluate(args) -> int:
@@ -256,7 +257,9 @@ def cmd_evaluate(args) -> int:
         with movie_store.open_movie(truth_dir / name) as m:
             truths.append(m.read_all())
     metrics = trainer.evaluate(preds, truths, cities)
-    Path(args.report).write_text(json.dumps(dataclasses.asdict(metrics), indent=2) + "\n")
+    with movie_store._atomic_write(args.report, "w") as f:
+        json.dump(dataclasses.asdict(metrics), f, indent=2)
+        f.write("\n")
     print(f"overall MSE {metrics.overall:.6f} over {metrics.clips} clips -> {args.report}")
     return 0
 

@@ -9,17 +9,15 @@ collapsed frame-major/channel-minor into a single channel stack, e.g.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date as _date
 from pathlib import Path
 
 import numpy as np
 
-from .movie_store import MovieReader
+from .movie_store import MovieReader, _atomic_write
 
 INPUT_FRAMES = 12
 TARGET_FRAMES = 3
 CLIP_FRAMES = INPUT_FRAMES + TARGET_FRAMES
-SLOTS_PER_DAY = 288
 
 HEADING_CLASSES = (0, 85, 170, 255)
 HEADING_CHANNEL = 2
@@ -61,13 +59,6 @@ class CollapsedSample:
             raise ValueError(
                 f"channel count {self.data.shape[0]} != t*c = {self.t}*{self.c}"
             )
-
-
-@dataclass(frozen=True)
-class TemporalFeatures:
-    day_of_week: int   # Monday = 0
-    slot_of_day: int   # first predicted slot, 0..287
-    slot_norm: float   # slot_of_day / 288
 
 
 def enumerate_clips(
@@ -117,7 +108,7 @@ def load_clip(spec: ClipSpec, movies: dict[tuple[str, str], MovieReader]) -> Cli
         raise ValueError(
             f"t_start={spec.t_start} leaves no room for {CLIP_FRAMES} frames in [0, {hdr.t})"
         )
-    frames = movie.read_frames(spec.t_start, CLIP_FRAMES).frames
+    frames = movie.read_frames(spec.t_start, CLIP_FRAMES)
     if spec.region is not None:
         r0, c0, rows, cols = spec.region
         if r0 < 0 or c0 < 0 or r0 + rows > hdr.h or c0 + cols > hdr.w:
@@ -140,15 +131,6 @@ def expand_time(sample: CollapsedSample) -> np.ndarray:
     return sample.data.reshape(sample.t, sample.c, h, w)
 
 
-def temporal_features(spec: ClipSpec) -> TemporalFeatures:
-    """Calendar features of a clip; slot_of_day is the first predicted slot."""
-    day = _date.fromisoformat(spec.day)
-    slot = spec.t_start + INPUT_FRAMES
-    if not 0 <= slot < SLOTS_PER_DAY:
-        raise ValueError(f"slot {slot} outside [0, {SLOTS_PER_DAY})")
-    return TemporalFeatures(day.weekday(), slot, slot / SLOTS_PER_DAY)
-
-
 def read_slots(path: str | Path) -> set[int]:
     """Read a test-slot filter file: one integer slot index per line."""
     slots = set()
@@ -160,7 +142,8 @@ def read_slots(path: str | Path) -> set[int]:
 
 
 def write_slots(path: str | Path, slots) -> None:
-    Path(path).write_text("".join(f"{s}\n" for s in sorted(slots)))
+    with _atomic_write(path, "w") as f:
+        f.writelines(f"{s}\n" for s in sorted(slots))
 
 
 def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: int = 0) -> np.ndarray:

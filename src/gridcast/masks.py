@@ -7,6 +7,7 @@ the "always stayed zero" variant (exceed is strict).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,7 +40,7 @@ def build_mask(movies: list[MovieReader], threshold: int) -> Mask:
             raise ValueError(f"grid {hdr.h}x{hdr.w} does not match {peak.shape}")
         for t0 in range(0, hdr.t, _FRAME_BATCH):
             n = min(_FRAME_BATCH, hdr.t - t0)
-            frames = m.read_frames(t0, n).frames
+            frames = m.read_frames(t0, n)
             np.maximum(peak, frames.max(axis=(0, 1)), out=peak)
         span += hdr.t
     return Mask(peak > threshold, threshold, span)
@@ -61,16 +62,16 @@ def save_mask(mask: Mask, path: str | Path) -> Path:
 
 
 def load_mask(path: str | Path) -> Mask:
+    """Read a mask written by ``save_mask``; ValueError unless the city field is
+    exactly ``mask-thr<int>-n<int>`` and every value is 0 or 255."""
     with open_movie(path) as m:
         hdr = m.header
         if hdr.t != 1 or hdr.c != 1 or hdr.date != "MASK":
             raise ValueError(f"{path} is not a mask file")
         grid = m.read_all()[0, 0]
-    threshold, span = 0, hdr.t
-    if hdr.city.startswith("mask-thr"):
-        try:
-            thr_part, n_part = hdr.city[len("mask-thr"):].split("-n")
-            threshold, span = int(thr_part), int(n_part)
-        except ValueError:
-            pass
-    return Mask(grid > 0, threshold, span)
+    meta = re.fullmatch(r"mask-thr([0-9]+)-n([0-9]+)", hdr.city)
+    if meta is None:
+        raise ValueError(f"{path}: mask metadata {hdr.city!r} is not mask-thr<int>-n<int>")
+    if not np.isin(grid, (0, 255)).all():
+        raise ValueError(f"{path}: mask values must be 0 or 255")
+    return Mask(grid > 0, int(meta[1]), int(meta[2]))

@@ -23,8 +23,9 @@ compression, no trailing data.
 
 from __future__ import annotations
 
+import os
 import struct
-import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -87,15 +88,19 @@ class MovieHeader:
         return len(self.encode())
 
 
-@dataclass(frozen=True)
-class FrameBlock:
-    """A contiguous run of decoded frames, shape (len, c, h, w) uint8."""
-
-    t_start: int
-    frames: np.ndarray
-
-    def __len__(self) -> int:
-        return self.frames.shape[0]
+@contextmanager
+def _atomic_write(path: str | Path, mode: str = "wb", **open_kwargs):
+    """Open ``<path>.part`` for writing and rename it over ``path`` when the
+    block ends, so a failed write leaves any earlier file intact and no temp
+    file behind."""
+    tmp = Path(f"{path}.part")
+    try:
+        with open(tmp, mode, **open_kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def ingest(raw: np.ndarray, city: str, date: str, dest: str | Path) -> Path:
@@ -108,7 +113,7 @@ def ingest(raw: np.ndarray, city: str, date: str, dest: str | Path) -> Path:
     t, c, h, w = raw.shape
     header = MovieHeader(VERSION, t, c, h, w, city, date)
     dest = Path(dest)
-    with open(dest, "wb") as f:
+    with _atomic_write(dest) as f:
         f.write(header.encode())
         f.write(np.ascontiguousarray(raw).tobytes())
     return dest
@@ -130,7 +135,10 @@ def _read_header(f) -> MovieHeader:
         data = f.read(n)
         if len(data) < n:
             raise MovieFormatError("truncated header string")
-        return data.decode("utf-8")
+        try:
+            return data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MovieFormatError(f"header string is not UTF-8: {e}") from None
 
     city = read_string()
     date = read_string()
@@ -140,15 +148,13 @@ def _read_header(f) -> MovieHeader:
 class MovieReader:
     """Handle over a TMM1 file: validated header, frame-granular lazy reads.
 
-    Reads are thread-safe (a lock serializes seek+read). ``payload_bytes_read``
-    counts exactly the frame-chunk bytes fetched so far, which lets tests and
-    profiling verify read locality.
+    ``payload_bytes_read`` counts exactly the frame-chunk bytes fetched so far,
+    which lets tests and profiling verify read locality.
     """
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
         self._file = open(self._path, "rb")
-        self._lock = threading.Lock()
         self.payload_bytes_read = 0
         try:
             self.header = _read_header(self._file)
@@ -167,8 +173,9 @@ class MovieReader:
     def path(self) -> Path:
         return self._path
 
-    def read_frames(self, t_start: int, count: int) -> FrameBlock:
-        """Read ``count`` consecutive frames starting at ``t_start``.
+    def read_frames(self, t_start: int, count: int) -> np.ndarray:
+        """Read ``count`` consecutive frames starting at ``t_start`` as a
+        read-only (count, c, h, w) uint8 array.
 
         Touches only the bytes of the requested chunk range.
         """
@@ -180,17 +187,15 @@ class MovieReader:
                 f"frame range [{t_start}, {t_start + count}) outside [0, {h.t})"
             )
         nbytes = count * h.frame_bytes
-        with self._lock:
-            self._file.seek(self._data_offset + t_start * h.frame_bytes)
-            buf = self._file.read(nbytes)
-            self.payload_bytes_read += len(buf)
+        self._file.seek(self._data_offset + t_start * h.frame_bytes)
+        buf = self._file.read(nbytes)
+        self.payload_bytes_read += len(buf)
         if len(buf) != nbytes:
             raise MovieFormatError("short read inside payload")
-        frames = np.frombuffer(buf, dtype=np.uint8).reshape(count, h.c, h.h, h.w)
-        return FrameBlock(t_start, frames)
+        return np.frombuffer(buf, dtype=np.uint8).reshape(count, h.c, h.h, h.w)
 
     def read_all(self) -> np.ndarray:
-        return self.read_frames(0, self.header.t).frames
+        return self.read_frames(0, self.header.t)
 
     def close(self):
         self._file.close()

@@ -29,13 +29,14 @@ the init draw order and the checkpoint tensor order are all read from it.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from .movie_store import _atomic_write
 
 CKPT_MAGIC = b"UNP1"
 CKPT_VERSION = 1
@@ -425,22 +426,16 @@ def save_params(params: UNetParams, path: str | Path) -> Path:
     """
     cfg = params.config
     path = Path(path)
-    tmp = path.with_name(path.name + ".part")
-    try:
-        with open(tmp, "wb") as f:
-            f.write(CKPT_MAGIC)
-            f.write(struct.pack(
-                "<HHIIIBI", CKPT_VERSION, cfg.depth, cfg.in_channels, cfg.out_channels,
-                cfg.base_channels, int(cfg.normalize), len(params.tensors),
-            ))
-            for name, arr in params.tensors.items():
-                nb = name.encode("utf-8")
-                f.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
-                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with _atomic_write(path) as f:
+        f.write(CKPT_MAGIC)
+        f.write(struct.pack(
+            "<HHIIIBI", CKPT_VERSION, cfg.depth, cfg.in_channels, cfg.out_channels,
+            cfg.base_channels, int(cfg.normalize), len(params.tensors),
+        ))
+        for name, arr in params.tensors.items():
+            nb = name.encode("utf-8")
+            f.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     return path
 
 

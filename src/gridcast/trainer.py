@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Clip, CollapsedSample, INPUT_FRAMES, TARGET_FRAMES, collapse_time, expand_time
+from .movie_store import _atomic_write
 from .tensor_nn import (
     UNetConfig,
     UNetParams,
@@ -309,7 +310,7 @@ def evaluate(
 def write_epoch_log(path: str | Path, log: list[EpochLog]) -> Path:
     """CSV with one row per epoch: epoch,lr,train_mse,val_mse,val_test_slots_mse."""
     path = Path(path)
-    with open(path, "w", newline="") as f:
+    with _atomic_write(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["epoch", "lr", "train_mse", "val_mse", "val_test_slots_mse"])
         for row in log:

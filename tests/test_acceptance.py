@@ -46,9 +46,9 @@ def test_storage_roundtrip_and_read_locality(tmp_path):
             n = int(rng.integers(1, t + 1))
             start = int(rng.integers(0, t - n + 1))
             before = m.payload_bytes_read
-            block = m.read_frames(start, n)
+            frames = m.read_frames(start, n)
             ok &= m.payload_bytes_read - before == n * c * h * w
-            ok &= np.array_equal(block.frames, raw[start : start + n])
+            ok &= np.array_equal(frames, raw[start : start + n])
     elapsed = time.perf_counter() - t0
     check(f"storage round-trip: 100 movies byte-exact, per-call I/O exact ({elapsed:.1f}s < 10s)",
           ok and elapsed < 10.0)

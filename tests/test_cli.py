@@ -194,6 +194,26 @@ def test_train_replay_identical_checkpoints(pipeline_dirs, tmp_path):
     assert (tmp_path / "a.unp.csv").read_text() == (tmp_path / "b.unp.csv").read_text()
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda cfg: {**cfg, "unet": {**cfg["unet"], "base_channel": 4}}, "'base_channel'"),
+        (lambda cfg: {**cfg, "data": {**cfg["data"], "val_strid": 4}}, "'val_strid'"),
+        (lambda cfg: {**cfg, "optim": {}}, "'optim'"),
+        (lambda cfg: [1, 2], "got list"),
+    ],
+    ids=["unet_key", "data_key", "section", "not_object"],
+)
+def test_train_rejects_unknown_config_keys(pipeline_dirs, tmp_path, capsys, edit, named):
+    data, _ = pipeline_dirs
+    path = train_config(tmp_path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    assert named in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
 def test_train_missing_data_dir(tmp_path):
     cfg = train_config(tmp_path)
     assert run("train", "--config", cfg, "--data", tmp_path / "missing", "--out", tmp_path / "x.unp") == 2

@@ -13,7 +13,6 @@ from gridcast.dataset import (
     load_clip,
     read_slots,
     synth_movie,
-    temporal_features,
     write_slots,
 )
 from gridcast.movie_store import ingest, open_movie
@@ -142,27 +141,6 @@ def test_expand_shape_and_divisibility():
     assert expand_time(sample).shape == (3, 3, 4, 4)
     with pytest.raises(ValueError):
         CollapsedSample(np.zeros((7, 4, 4)), 3, 3)
-
-
-def test_temporal_features_monday():
-    feats = temporal_features(ClipSpec("b", "2019-01-07", 0))  # a Monday
-    assert feats.day_of_week == 0
-    assert feats.slot_of_day == 12
-    assert feats.slot_norm == pytest.approx(12 / 288)
-
-
-def test_temporal_features_midday_norm():
-    feats = temporal_features(ClipSpec("b", "2019-01-09", 132))
-    assert feats.slot_of_day == 144
-    assert feats.slot_norm == 0.5
-    assert feats.day_of_week == 2  # Wednesday
-
-
-def test_temporal_features_slot_range():
-    for t_start in (0, 100, 273):
-        assert temporal_features(ClipSpec("b", "2019-01-07", t_start)).slot_of_day < 288
-    with pytest.raises(ValueError):
-        temporal_features(ClipSpec("b", "not-a-date", 0))
 
 
 def test_slots_file_roundtrip(tmp_path):

@@ -114,3 +114,19 @@ def test_mask_file_roundtrip(store, tmp_path):
     with open_movie(path) as m:
         assert m.header.t == 1 and m.header.c == 1
         assert set(np.unique(m.read_all())) <= {0, 255}
+
+
+@pytest.mark.parametrize(
+    "city", ["mask-thr40-nX", "thr40-n6", "mask-thr40", "mask-thr-n6", "mask-thr40-n6-n7", "mask-thr+4-n6"]
+)
+def test_load_mask_rejects_malformed_metadata(tmp_path, city):
+    path = ingest(np.zeros((1, 1, 3, 3), dtype=np.uint8), city, "MASK", tmp_path / "mask.tmm")
+    with pytest.raises(ValueError, match="metadata"):
+        load_mask(path)
+
+
+def test_load_mask_rejects_values_other_than_0_and_255(tmp_path):
+    grid = np.array([[[[0, 255, 1]]]], dtype=np.uint8)
+    path = ingest(grid, "mask-thr0-n1", "MASK", tmp_path / "mask.tmm")
+    with pytest.raises(ValueError, match="0 or 255"):
+        load_mask(path)

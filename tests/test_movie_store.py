@@ -1,8 +1,14 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gridcast import tensor_nn as tn
+from gridcast import trainer
+from gridcast.cli import main
+from gridcast.dataset import write_slots
 from gridcast.movie_store import (
     MAGIC,
     MovieFormatError,
@@ -95,9 +101,9 @@ def test_open_rejects_trailing_bytes(tmp_path):
 def test_read_frames_whole_movie(tmp_path):
     raw = np.arange(288 * 1 * 2 * 2, dtype=np.uint32).astype(np.uint8).reshape(288, 1, 2, 2)
     with open_movie(make_movie(tmp_path, raw)) as m:
-        block = m.read_frames(0, 288)
-        assert block.t_start == 0
-        assert np.array_equal(block.frames, raw)
+        frames = m.read_frames(0, 288)
+        assert not frames.flags.writeable
+        assert np.array_equal(frames, raw)
 
 
 def test_read_frames_locality_accounting(tmp_path):
@@ -105,9 +111,9 @@ def test_read_frames_locality_accounting(tmp_path):
     raw = rng.integers(0, 256, size=(288, 3, 4, 5), dtype=np.uint8)
     with open_movie(make_movie(tmp_path, raw)) as m:
         assert m.payload_bytes_read == 0  # header only on open
-        block = m.read_frames(100, 15)
+        frames = m.read_frames(100, 15)
         assert m.payload_bytes_read == 15 * 3 * 4 * 5
-        assert np.array_equal(block.frames, raw[100:115])
+        assert np.array_equal(frames, raw[100:115])
         m.read_frames(0, 1)
         assert m.payload_bytes_read == 16 * 3 * 4 * 5
 
@@ -121,3 +127,109 @@ def test_read_frames_out_of_range(tmp_path):
             m.read_frames(-1, 2)
         with pytest.raises(ValueError):
             m.read_frames(0, 0)
+
+
+# ---------------------------------------------------------------------------
+# malformed files
+
+# Header fields of the movie below ("Berlin", "2019-01-02") as (offset, struct
+# format), and the byte ranges of its two strings.
+_FIELDS = {
+    "version": [(4, "<H")],
+    "dims": [(6, "<H"), (8, "<I"), (12, "<I"), (16, "<I")],
+    "city_len": [(20, "<H")],
+    "date_len": [(28, "<H")],
+}
+_STRINGS = {"city_bytes": (22, 28), "date_bytes": (30, 40)}
+# bytes that never occur in UTF-8
+_NOT_UTF8 = [0xC0, 0xC1, *range(0xF5, 0x100)]
+
+
+def _corrupt(good: bytes, case: str, data) -> bytes:
+    draw = data.draw
+    if case == "prefix":
+        return good[: draw(st.integers(0, len(good) - 1), label="length")]
+    if case == "trailing":
+        return good + draw(st.binary(min_size=1, max_size=8), label="tail")
+    if case == "magic":
+        magic = draw(st.binary(min_size=4, max_size=4).filter(lambda b: b != MAGIC), label="magic")
+        return magic + good[4:]
+    if case in _STRINGS:
+        lo, hi = _STRINGS[case]
+        i = draw(st.integers(lo, hi - 1), label="position")
+        return good[:i] + bytes([draw(st.sampled_from(_NOT_UTF8), label="byte")]) + good[i + 1 :]
+    off, fmt = draw(st.sampled_from(_FIELDS[case]), label="field")
+    size = struct.calcsize(fmt)
+    old = struct.unpack_from(fmt, good, off)[0]
+    new = draw(st.integers(0, 2 ** (8 * size) - 1).filter(lambda v: v != old), label="value")
+    return good[:off] + struct.pack(fmt, new) + good[off + size :]
+
+
+@pytest.mark.parametrize("case", ["prefix", "trailing", "magic", *_FIELDS, *_STRINGS])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_corrupt_movie_is_rejected(tmp_path_factory, case, data):
+    raw = np.random.default_rng(3).integers(0, 256, size=(3, 2, 4, 5), dtype=np.uint8)
+    path = make_movie(tmp_path_factory.mktemp("fuzz"), raw)
+    path.write_bytes(_corrupt(path.read_bytes(), case, data))
+    with pytest.raises(MovieFormatError):
+        open_movie(path).close()
+
+
+# ---------------------------------------------------------------------------
+# atomic writes
+
+
+class _BadSlot(int):
+    def __format__(self, spec):
+        raise ValueError("unformattable slot")
+
+
+def _write_checkpoint(path, fail):
+    params = tn.init_params(tn.UNetConfig(depth=2, in_channels=2, out_channels=3, base_channels=1), 1 + fail)
+    if fail:  # the last name cannot be encoded, so the write fails after the other tensors
+        params = tn.UNetParams(params.config, {**params.tensors, "\ud800": np.zeros(1)})
+    tn.save_params(params, path)
+
+
+def _write_movie(path, fail):
+    ingest(np.full((2, 1, 3, 3), 4 + fail, dtype=np.uint8), "\ud800" if fail else "c", "d", path)
+
+
+def _write_epoch_log(path, fail):
+    rows = [trainer.EpochLog(0, 0.1, 1.0 + fail, 2.0, 3.0)]
+    trainer.write_epoch_log(path, rows + [None] * fail)
+
+
+def _write_report(path, fail):
+    clips = path.parent.parent / "clips"  # the same file as prediction and truth
+    clips.mkdir(exist_ok=True)
+    ingest(np.zeros((3, 1, 2, 2), dtype=np.uint8), "c", "d", clips / "a.tmm")
+    argv = ["evaluate", "--pred", clips, "--truth", clips]
+    with pytest.MonkeyPatch.context() as mp:
+        if fail:  # a float32 cannot be serialized, so the write stops inside per_city
+            mp.setattr(trainer, "evaluate", lambda *a: trainer.Metrics(1.0, [1.0], [1.0], {"c": np.float32(1)}, 1))
+        assert main([str(a) for a in argv + ["--report", path]]) == 0
+
+
+@pytest.mark.parametrize(
+    "write, error",
+    [
+        (_write_checkpoint, UnicodeEncodeError),
+        (_write_movie, UnicodeEncodeError),
+        (_write_epoch_log, AttributeError),
+        (lambda path, fail: write_slots(path, [3, 1] + [_BadSlot(2)] * fail), ValueError),
+        (_write_report, TypeError),
+    ],
+    ids=["checkpoint", "movie", "epoch_log", "slots", "report"],
+)
+def test_failed_write_leaves_old_file(tmp_path, write, error):
+    out = tmp_path / "out"
+    out.mkdir()
+    path = out / "file"
+    write(path, False)
+    before = path.read_bytes()
+    with pytest.raises(error):
+        write(path, True)
+    assert path.read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["file"]

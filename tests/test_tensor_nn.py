@@ -351,18 +351,6 @@ def test_checkpoint_every_strict_prefix_is_rejected(tmp_path_factory, data):
         tn.load_params(path)
 
 
-def test_failed_checkpoint_write_leaves_old_file(tmp_path):
-    params = _small_params()
-    path = tn.save_params(params, tmp_path / "net.unp")
-    before = path.read_bytes()
-    # the last name cannot be encoded, so the write fails after the other tensors
-    broken = tn.UNetParams(params.config, {**_small_params(2).tensors, "\ud800": np.zeros(1)})
-    with pytest.raises(UnicodeEncodeError):
-        tn.save_params(broken, path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["net.unp"]
-
-
 def test_parameter_order_is_canonical():
     """Tensor order is the UNP1 serialization order and the init draw order."""
     cfg = tn.UNetConfig(depth=3, in_channels=6, out_channels=9, base_channels=4)
