@@ -7,12 +7,13 @@ when a mean frame is emitted.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import Clip, ClipSpec, INPUT_FRAMES, TARGET_FRAMES, read_slots, write_slots
+from .dataset import Clip, ClipSpec, INPUT_FRAMES, TARGET_FRAMES
 from .movie_store import MovieReader, ingest, open_movie
 from .tensor_nn import round_half_up_uint8
 
@@ -34,43 +35,28 @@ class SlotAverageModel:
 
 
 def time_slot_average(train_movies: list[MovieReader], slots) -> SlotAverageModel:
-    """Average each requested slot over all training days."""
+    """Average each requested slot over all training days, which must share
+    one (c, h, w) grid."""
     slots = sorted(set(slots))
     if not train_movies:
         raise ValueError("need at least one training day")
     if not slots:
         raise ValueError("need at least one slot")
-    sums: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
+    grid = train_movies[0].header.shape[1:]
+    sums = dict(zip(slots, np.zeros((len(slots), *grid), np.int64)))
+    counts = dict.fromkeys(slots, 0)
     for m in train_movies:
-        hdr = m.header
-        for s0, n in _contiguous_runs(slots):
-            n = min(n, hdr.t - s0)
-            if n <= 0:
-                continue
-            frames = m.read_frames(s0, n).astype(np.int64)
-            for j in range(n):
-                slot = s0 + j
-                if slot in sums:
-                    sums[slot] += frames[j]
-                    counts[slot] += 1
-                else:
-                    sums[slot] = frames[j].copy()
-                    counts[slot] = 1
-    missing = [s for s in slots if s not in sums]
+        if m.header.shape[1:] != grid:
+            raise ValueError(f"{m.path}: grid (c, h, w) {m.header.shape[1:]} differs from {grid}")
+        for slot in slots:
+            if slot >= m.header.t:
+                break
+            sums[slot] += m.read_frames(slot, 1)[0]
+            counts[slot] += 1
+    missing = [s for s in slots if not counts[s]]
     if missing:
         raise ValueError(f"slots with zero observations: {missing}")
     return SlotAverageModel(sums, counts)
-
-
-def _contiguous_runs(sorted_slots: list[int]):
-    start = prev = sorted_slots[0]
-    for s in sorted_slots[1:]:
-        if s != prev + 1:
-            yield start, prev - start + 1
-            start = s
-        prev = s
-    yield start, prev - start + 1
 
 
 def predict_slot_average(model: SlotAverageModel, spec: ClipSpec) -> np.ndarray:
@@ -78,14 +64,12 @@ def predict_slot_average(model: SlotAverageModel, spec: ClipSpec) -> np.ndarray:
 
     Means are rounded half-up to uint8 and clamped to [0, 255].
     """
-    frames = []
-    for j in range(TARGET_FRAMES):
-        mean = model.mean(spec.t_start + INPUT_FRAMES + j)
-        if spec.region is not None:
-            r0, c0, rows, cols = spec.region
-            mean = mean[:, r0 : r0 + rows, c0 : c0 + cols]
-        frames.append(round_half_up_uint8(mean))
-    return np.stack(frames)
+    first = spec.t_start + INPUT_FRAMES  # the first predicted slot
+    frames = np.stack([round_half_up_uint8(model.mean(first + j)) for j in range(TARGET_FRAMES)])
+    if spec.region is not None:
+        r0, c0, rows, cols = spec.region
+        frames = frames[:, :, r0 : r0 + rows, c0 : c0 + cols]
+    return frames
 
 
 def persistence(clip: Clip) -> np.ndarray:
@@ -98,23 +82,24 @@ def zero_baseline(clip: Clip) -> np.ndarray:
 
 
 def save_model(model: SlotAverageModel, path: str | Path) -> Path:
-    """Persist as TMM1 with t = number of slots (rounded uint8 means, date
-    "MODEL") plus a sidecar <path>.slots file listing the slot of each frame."""
+    """Persist as one TMM1 movie: the rounded mean of each slot in slot order,
+    date "MODEL" and city ``slot-average-s<s0>,<s1>,...`` naming the slots."""
     slots = model.slots
     frames = np.stack([round_half_up_uint8(model.mean(s)) for s in slots])
-    out = ingest(frames, "slot-average", "MODEL", path)
-    write_slots(f"{path}.slots", slots)
-    return out
+    return ingest(frames, "slot-average-s" + ",".join(map(str, slots)), "MODEL", path)
 
 
 def load_model(path: str | Path) -> SlotAverageModel:
+    """Read a model written by ``save_model``; ValueError unless the date is
+    "MODEL" and the city names one strictly increasing slot per frame."""
     with open_movie(path) as m:
-        if m.header.date != "MODEL":
-            raise ValueError(f"{path} is not a slot-average model file")
+        hdr = m.header
+        meta = re.fullmatch(r"slot-average-s([0-9]+(?:,[0-9]+)*)", hdr.city)
+        slots = [int(s) for s in meta[1].split(",")] if meta else []
+        if hdr.date != "MODEL" or len(slots) != hdr.t or slots != sorted(set(slots)):
+            raise ValueError(
+                f"{path}: date {hdr.date!r}, city {hdr.city!r}: not a model of {hdr.t} increasing slots"
+            )
         frames = m.read_all()
-    slots = sorted(read_slots(f"{path}.slots"))
-    if len(slots) != frames.shape[0]:
-        raise ValueError(f"{path}.slots lists {len(slots)} slots for {frames.shape[0]} frames")
-    sums = {s: frames[i].astype(np.int64) for i, s in enumerate(slots)}
-    counts = {s: 1 for s in slots}
-    return SlotAverageModel(sums, counts)
+    sums = {s: f.astype(np.int64) for s, f in zip(slots, frames)}
+    return SlotAverageModel(sums, dict.fromkeys(slots, 1))

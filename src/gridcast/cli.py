@@ -45,6 +45,25 @@ def _open_movies(stack: contextlib.ExitStack, data_dir: Path, city: str | None =
     return movies
 
 
+def _check_grid(movies, grid, of: str) -> None:
+    """ValueError naming the first movie whose (c, h, w) is not ``grid``."""
+    for m in movies:
+        if m.header.shape[1:] != grid:
+            raise ValueError(f"{m.path}: grid (c, h, w) {m.header.shape[1:]} differs from {of} {grid}")
+
+
+def _check_channels(movies, cfg: tensor_nn.UNetConfig) -> None:
+    """ValueError naming the first movie whose c channels do not make the
+    U-Net's 12*c input and 3*c output channels."""
+    for m in movies:
+        c = m.header.c
+        if (cfg.in_channels, cfg.out_channels) != (dataset.INPUT_FRAMES * c, dataset.TARGET_FRAMES * c):
+            raise ValueError(
+                f"{m.path}: c={c} needs a U-Net with {dataset.INPUT_FRAMES * c} input and "
+                f"{dataset.TARGET_FRAMES * c} output channels, not {cfg.in_channels} and {cfg.out_channels}"
+            )
+
+
 def _clip_name(spec: dataset.ClipSpec) -> str:
     return f"{spec.city}__{spec.day}__t{spec.t_start:04d}.tmm"
 
@@ -171,6 +190,9 @@ def cmd_train(args) -> int:
             test_slots if data_cfg["train_on_test_slots_only"] else None,
         )
         val_specs = dataset.enumerate_clips(val_movies, val_stride)
+        used = train_movies + val_movies  # both nonempty, or enumerate_clips raised
+        _check_grid(used, used[0].header.shape[1:], f"{used[0].path}'s")
+        _check_channels(used, unet_cfg)
         train_clips = _load_clips(train_specs, by_key, region)
         val_clips = _load_clips(val_specs, by_key, region)
     result = trainer.train(unet_cfg, sgd_cfg, train_clips, val_clips, test_slots)
@@ -209,7 +231,12 @@ def _write_per_clip(args, what: str, make_frames) -> int:
 
 def cmd_predict(args) -> int:
     params = tensor_nn.load_params(args.ckpt)
-    return _write_per_clip(args, "prediction", lambda *_: lambda spec, clip: trainer.predict(params, clip()))
+
+    def make_frames(stack, movies, specs):
+        _check_channels(movies, params.config)  # grids may differ: the net is fully convolutional
+        return lambda spec, clip: trainer.predict(params, clip())
+
+    return _write_per_clip(args, "prediction", make_frames)
 
 
 def cmd_baseline(args) -> int:
@@ -225,6 +252,7 @@ def cmd_baseline(args) -> int:
             for j in range(dataset.TARGET_FRAMES)
         }
         model = baselines.time_slot_average(train_movies, needed)
+        _check_grid(movies, train_movies[0].header.shape[1:], "the slot-average model's")
         if args.model_out:
             baselines.save_model(model, args.model_out)
         return lambda spec, clip: baselines.predict_slot_average(model, spec)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .movie_store import MovieReader, _atomic_write
+from .movie_store import MovieReader
 
 INPUT_FRAMES = 12
 TARGET_FRAMES = 3
@@ -139,11 +139,6 @@ def read_slots(path: str | Path) -> set[int]:
         if line:
             slots.add(int(line))
     return slots
-
-
-def write_slots(path: str | Path, slots) -> None:
-    with _atomic_write(path, "w") as f:
-        f.writelines(f"{s}\n" for s in sorted(slots))
 
 
 def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: int = 0) -> np.ndarray:

@@ -83,6 +83,13 @@ def test_errors(store_days):
         predict_slot_average(model, ClipSpec("c", "2019-02-01", 0))  # needs 12..14
 
 
+def test_rejects_days_on_different_grids(store_days):
+    # int64 sums of a (3, 1, 4) and a (3, 4, 4) frame would broadcast to a wrong mean
+    movies = store_days([np.full((20, 3, 4, 4), 10, np.uint8), np.full((20, 3, 1, 4), 30, np.uint8)])
+    with pytest.raises(ValueError, match=r"grid \(c, h, w\) \(3, 1, 4\) differs from \(3, 4, 4\)"):
+        time_slot_average(movies, [5])
+
+
 def test_prediction_rounding_rules():
     assert round_half_up_uint8(np.array([19.5])) == 20
     assert round_half_up_uint8(np.array([20.0])) == 20
@@ -171,3 +178,25 @@ def test_model_save_load_roundtrip(store_days, tmp_path):
     assert np.array_equal(
         predict_slot_average(loaded, spec), predict_slot_average(model, spec)
     )
+    with open_movie(path) as m:
+        assert m.header.city == "slot-average-s12,13,14,17"
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("avg")) == ["avg.tmm"]
+
+
+@pytest.mark.parametrize(
+    "city, date",
+    [
+        ("slot-average", "MODEL"),  # the old two-file format
+        ("slot-average-s", "MODEL"),
+        ("slot-average-s3,2,1", "MODEL"),
+        ("slot-average-s1,1,2", "MODEL"),
+        ("slot-average-s1,2", "MODEL"),
+        ("slot-average-s1,x,3", "MODEL"),
+        ("slot-average-s1,2,3", "2019-02-01"),
+    ],
+    ids=["old_city", "no_slots", "decreasing", "duplicate", "count", "non_digit", "date"],
+)
+def test_load_model_rejects_malformed_metadata(tmp_path, city, date):
+    path = ingest(np.zeros((3, 1, 2, 2), dtype=np.uint8), city, date, tmp_path / "m.tmm")
+    with pytest.raises(ValueError, match="not a model of 3 increasing slots"):
+        load_model(path)

@@ -104,9 +104,24 @@ def test_slot_avg_baseline_matches_library(pipeline_dirs, tmp_path):
     expected = baselines.predict_slot_average(model, ClipSpec("q", "2019-05-01", 8))
     with open_movie(out / "q__2019-05-01__t0008.tmm") as m:
         assert np.array_equal(m.read_all(), expected)
-    assert model_file.exists() and (tmp_path / "avg_model.tmm.slots").exists()
     for m in movies:
         m.close()
+    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("avg_model")) == ["avg_model.tmm"]
+    assert baselines.load_model(model_file).slots == [20, 21, 22, 28, 29, 30]
+
+
+@pytest.mark.parametrize("train_shape", ["48,3,4,4", "48,1,8,8"], ids=["grid", "channels"])
+def test_slot_avg_baseline_rejects_model_on_other_grid(pipeline_dirs, tmp_path, capsys, train_shape):
+    data, slots = pipeline_dirs
+    train = tmp_path / "train"
+    run("synth", "--kind", "constant", "--shape", train_shape, "--days", 2, "--out", train)
+    out, model_file = tmp_path / "avg", tmp_path / "model.tmm"
+    assert run(
+        "baseline", "--kind", "slot_avg", "--train", train, "--data", data, "--slots", slots,
+        "--out", out, "--model-out", model_file,
+    ) == 2
+    assert "q_2019-05-01.tmm: grid (c, h, w) (3, 8, 8) differs from the slot-average" in capsys.readouterr().err
+    assert not out.exists() and not model_file.exists()
 
 
 def test_evaluate_identical_dirs_reports_zero(pipeline_dirs, tmp_path, capsys):
@@ -285,6 +300,51 @@ def test_predict_rejects_broken_checkpoint(pipeline_dirs, tmp_path, capsys, faul
     assert run("predict", "--ckpt", ckpt, "--data", data, "--slots", slots, "--out", out) == 2
     assert "error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_predict_rejects_checkpoint_for_other_channels(pipeline_dirs, tmp_path, capsys):
+    data, slots = pipeline_dirs  # 3-channel days
+    cfg = tn.UNetConfig(depth=1, out_channels=3, base_channels=2)
+    ckpt = tn.save_params(tn.init_params(cfg, 0), tmp_path / "a.unp")
+    out = tmp_path / "pred"
+    assert run("predict", "--ckpt", ckpt, "--data", data, "--slots", slots, "--out", out) == 2
+    assert "q_2019-05-01.tmm: c=3 needs a U-Net with 36 input and 9 output" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_predict_rejects_data_with_other_channels(tmp_path, capsys):
+    data = tmp_path / "data"
+    run("synth", "--kind", "constant", "--shape", "32,1,8,8", "--out", data)
+    ckpt = tn.save_params(tn.init_params(tn.UNetConfig(depth=1, base_channels=2), 0), tmp_path / "a.unp")
+    out = tmp_path / "pred"
+    assert run("predict", "--ckpt", ckpt, "--data", data, "--out", out) == 2
+    assert "synthville_2019-01-07.tmm: c=1 needs a U-Net with 12 input" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_rejects_config_for_other_channels(pipeline_dirs, tmp_path, capsys, monkeypatch):
+    from gridcast import dataset
+
+    data, _ = pipeline_dirs
+    path = train_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["unet"]["out_channels"] = 3
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(dataset, "load_clip", lambda *a: pytest.fail("a clip was loaded"))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    assert "q_2019-05-01.tmm: c=3 needs a U-Net with 36 input and 9 output" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_train_rejects_days_on_different_grids(pipeline_dirs, tmp_path, capsys):
+    data, _ = pipeline_dirs  # three 8x8 days
+    run("synth", "--kind", "constant", "--shape", "48,3,6,8", "--city", "q", "--start-date", "2019-05-02",
+        "--out", data / "q_2019-05-02.tmm")
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", train_config(tmp_path), "--data", data, "--out", ckpt) == 2
+    assert "q_2019-05-02.tmm: grid (c, h, w) (3, 6, 8) differs from" in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "baseline", "targets", "mask"])

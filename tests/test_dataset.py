@@ -13,7 +13,6 @@ from gridcast.dataset import (
     load_clip,
     read_slots,
     synth_movie,
-    write_slots,
 )
 from gridcast.movie_store import ingest, open_movie
 
@@ -145,8 +144,7 @@ def test_expand_shape_and_divisibility():
 
 def test_slots_file_roundtrip(tmp_path):
     path = tmp_path / "slots.txt"
-    write_slots(path, {30, 12, 100})
-    assert path.read_text() == "12\n30\n100\n"
+    path.write_text("30\n12\n\n 100 \n")
     assert read_slots(path) == {12, 30, 100}
 
 

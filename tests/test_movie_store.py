@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from gridcast import tensor_nn as tn
 from gridcast import trainer
 from gridcast.cli import main
-from gridcast.dataset import write_slots
+from gridcast.baselines import SlotAverageModel, load_model, save_model
 from gridcast.movie_store import (
     MAGIC,
     MovieFormatError,
@@ -180,11 +180,6 @@ def test_corrupt_movie_is_rejected(tmp_path_factory, case, data):
 # atomic writes
 
 
-class _BadSlot(int):
-    def __format__(self, spec):
-        raise ValueError("unformattable slot")
-
-
 def _write_checkpoint(path, fail):
     params = tn.init_params(tn.UNetConfig(depth=2, in_channels=2, out_channels=3, base_channels=1), 1 + fail)
     if fail:  # the last name cannot be encoded, so the write fails after the other tensors
@@ -201,6 +196,18 @@ def _write_epoch_log(path, fail):
     trainer.write_epoch_log(path, rows + [None] * fail)
 
 
+def _write_model(path, fail):
+    """Slots 1-3, or 20,000 one-pixel slots: too many for the city's u16 length."""
+    slots = range(1, 20_001 if fail else 4)
+    save_model(SlotAverageModel({s: np.full((1, 1, 1), s) for s in slots}, dict.fromkeys(slots, 1)), path)
+
+
+def _check_model(path):
+    model = load_model(path)
+    assert model.slots == [1, 2, 3]
+    assert [model.mean(s).item() for s in model.slots] == [1, 2, 3]
+
+
 def _write_report(path, fail):
     clips = path.parent.parent / "clips"  # the same file as prediction and truth
     clips.mkdir(exist_ok=True)
@@ -213,17 +220,17 @@ def _write_report(path, fail):
 
 
 @pytest.mark.parametrize(
-    "write, error",
+    "write, error, check",
     [
-        (_write_checkpoint, UnicodeEncodeError),
-        (_write_movie, UnicodeEncodeError),
-        (_write_epoch_log, AttributeError),
-        (lambda path, fail: write_slots(path, [3, 1] + [_BadSlot(2)] * fail), ValueError),
-        (_write_report, TypeError),
+        (_write_checkpoint, UnicodeEncodeError, None),
+        (_write_movie, UnicodeEncodeError, None),
+        (_write_epoch_log, AttributeError, None),
+        (_write_model, ValueError, _check_model),
+        (_write_report, TypeError, None),
     ],
-    ids=["checkpoint", "movie", "epoch_log", "slots", "report"],
+    ids=["checkpoint", "movie", "epoch_log", "model", "report"],
 )
-def test_failed_write_leaves_old_file(tmp_path, write, error):
+def test_failed_write_leaves_old_file(tmp_path, write, error, check):
     out = tmp_path / "out"
     out.mkdir()
     path = out / "file"
@@ -233,3 +240,5 @@ def test_failed_write_leaves_old_file(tmp_path, write, error):
         write(path, True)
     assert path.read_bytes() == before
     assert [p.name for p in out.iterdir()] == ["file"]
+    if check is not None:
+        check(path)
