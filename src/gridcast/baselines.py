@@ -65,11 +65,7 @@ def predict_slot_average(model: SlotAverageModel, spec: ClipSpec) -> np.ndarray:
     Means are rounded half-up to uint8 and clamped to [0, 255].
     """
     first = spec.t_start + INPUT_FRAMES  # the first predicted slot
-    frames = np.stack([round_half_up_uint8(model.mean(first + j)) for j in range(TARGET_FRAMES)])
-    if spec.region is not None:
-        r0, c0, rows, cols = spec.region
-        frames = frames[:, :, r0 : r0 + rows, c0 : c0 + cols]
-    return frames
+    return np.stack([round_half_up_uint8(model.mean(first + j)) for j in range(TARGET_FRAMES)])
 
 
 def persistence(clip: Clip) -> np.ndarray:

@@ -5,16 +5,16 @@ Exit codes: 0 success, 2 usage or data error, 3 numerical failure.
 The train command reads a single JSON config with three optional sections,
 "unet", "sgd" and "data"; every omitted key falls back to the built-in
 defaults (the published training recipe), and an unknown section or key is an
-error (exit 2). Example:
+error (exit 2). The U-Net's 12*c input and 3*c output channels come from the
+movies' c channels, not from the config. Example:
 
     {
-      "unet": {"depth": 5, "in_channels": 36, "out_channels": 9,
-               "base_channels": 64, "normalize": false},
+      "unet": {"depth": 5, "base_channels": 64, "normalize": false},
       "sgd":  {"lr_initial": 0.02, "lr_after_drop": 0.001, "drop_epoch": 5,
                "momentum": 0.9, "nesterov": true, "batch_size": 5,
                "epochs": 12, "seed": 0},
       "data": {"city": null, "stride": 1, "val_stride": null,
-               "region": null, "train_dates": null, "val_dates": null,
+               "train_dates": null, "val_dates": null,
                "test_slots_file": null, "train_on_test_slots_only": false}
     }
 """
@@ -112,7 +112,7 @@ def cmd_synth(args) -> int:
 
 
 _DATA_DEFAULTS = {
-    "city": None, "stride": 1, "val_stride": None, "region": None, "train_dates": None,
+    "city": None, "stride": 1, "val_stride": None, "train_dates": None,
     "val_dates": None, "test_slots_file": None, "train_on_test_slots_only": False,
 }
 
@@ -129,12 +129,13 @@ def _object(value, where: str, keys) -> dict:
 
 def _read_config(path) -> tuple[tensor_nn.UNetConfig, trainer.SGDConfig, dict]:
     """The train config's U-Net and SGD configs and its data section with
-    defaults filled in."""
+    defaults filled in; the U-Net's channel counts are left at their defaults
+    for ``cmd_train`` to set from the movies."""
     cfg = _object(json.loads(Path(path).read_text()), "config", ("unet", "sgd", "data"))
     unet, sgd, data = (
         _object(cfg.get(name, {}), f"config section {name!r}", keys)
         for name, keys in (
-            ("unet", [f.name for f in dataclasses.fields(tensor_nn.UNetConfig)]),
+            ("unet", ("depth", "base_channels", "normalize")),
             ("sgd", [f.name for f in dataclasses.fields(trainer.SGDConfig)]),
             ("data", _DATA_DEFAULTS),
         )
@@ -154,15 +155,6 @@ def _split_dates(dates: list[str], data_cfg: dict) -> tuple[list[str], list[str]
     return list(train_dates), list(val_dates)
 
 
-def _load_clips(specs, movies_by_key, region):
-    clips = []
-    for spec in specs:
-        if region is not None:
-            spec = dataclasses.replace(spec, region=tuple(region))
-        clips.append(dataset.load_clip(spec, movies_by_key))
-    return clips
-
-
 def cmd_train(args) -> int:
     unet_cfg, sgd_cfg, data_cfg = _read_config(args.config)
 
@@ -180,7 +172,6 @@ def cmd_train(args) -> int:
         test_slots = dataset.read_slots(slots_file) if slots_file else None
         stride = data_cfg["stride"]
         val_stride = data_cfg["val_stride"] or stride
-        region = data_cfg["region"]
 
         train_movies = [m for m in movies if m.header.date in train_dates]
         val_movies = [m for m in movies if m.header.date in val_dates]
@@ -191,10 +182,14 @@ def cmd_train(args) -> int:
         )
         val_specs = dataset.enumerate_clips(val_movies, val_stride)
         used = train_movies + val_movies  # both nonempty, or enumerate_clips raised
-        _check_grid(used, used[0].header.shape[1:], f"{used[0].path}'s")
-        _check_channels(used, unet_cfg)
-        train_clips = _load_clips(train_specs, by_key, region)
-        val_clips = _load_clips(val_specs, by_key, region)
+        grid = used[0].header.shape[1:]
+        _check_grid(used, grid, f"{used[0].path}'s")
+        c = grid[0]
+        unet_cfg = dataclasses.replace(
+            unet_cfg, in_channels=dataset.INPUT_FRAMES * c, out_channels=dataset.TARGET_FRAMES * c
+        )
+        train_clips = [dataset.load_clip(s, by_key) for s in train_specs]
+        val_clips = [dataset.load_clip(s, by_key) for s in val_specs]
     result = trainer.train(unet_cfg, sgd_cfg, train_clips, val_clips, test_slots)
     tensor_nn.save_params(result.best_params, args.out)
     log_path = args.log or f"{args.out}.csv"
@@ -251,8 +246,8 @@ def cmd_baseline(args) -> int:
             for s in specs
             for j in range(dataset.TARGET_FRAMES)
         }
-        model = baselines.time_slot_average(train_movies, needed)
         _check_grid(movies, train_movies[0].header.shape[1:], "the slot-average model's")
+        model = baselines.time_slot_average(train_movies, needed)
         if args.model_out:
             baselines.save_model(model, args.model_out)
         return lambda spec, clip: baselines.predict_slot_average(model, spec)

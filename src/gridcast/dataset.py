@@ -25,16 +25,12 @@ HEADING_CHANNEL = 2
 
 @dataclass(frozen=True)
 class ClipSpec:
-    """Identifies one clip: (city, day) selects the movie, t_start the window.
-
-    ``region`` is an optional (row0, col0, rows, cols) crop applied to every
-    frame of the clip.
-    """
+    """Identifies one clip: (city, day) selects the movie, and the clip is its
+    CLIP_FRAMES frames from t_start on, over the movie's full grid."""
 
     city: str
     day: str
     t_start: int
-    region: tuple[int, int, int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -109,11 +105,6 @@ def load_clip(spec: ClipSpec, movies: dict[tuple[str, str], MovieReader]) -> Cli
             f"t_start={spec.t_start} leaves no room for {CLIP_FRAMES} frames in [0, {hdr.t})"
         )
     frames = movie.read_frames(spec.t_start, CLIP_FRAMES)
-    if spec.region is not None:
-        r0, c0, rows, cols = spec.region
-        if r0 < 0 or c0 < 0 or r0 + rows > hdr.h or c0 + cols > hdr.w:
-            raise ValueError(f"region {spec.region} outside grid ({hdr.h}, {hdr.w})")
-        frames = frames[:, :, r0 : r0 + rows, c0 : c0 + cols]
     return Clip(frames[:INPUT_FRAMES], frames[INPUT_FRAMES:], spec)
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Clip, CollapsedSample, INPUT_FRAMES, TARGET_FRAMES, collapse_time, expand_time
+from .dataset import Clip, INPUT_FRAMES, TARGET_FRAMES
 from .movie_store import _atomic_write
 from .tensor_nn import (
     UNetConfig,
@@ -129,20 +129,18 @@ def new_state(unet_config: UNetConfig, sgd_config: SGDConfig) -> TrainState:
     )
 
 
-def _stack_inputs(clips: list[Clip], cfg: UNetConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse and stack clip inputs/targets into float32 (n, t*c, h, w) batches.
+def _stack_inputs(blocks: list[np.ndarray], cfg: UNetConfig) -> np.ndarray:
+    """Collapse (t, c, h, w) blocks frame-major, channel-minor and stack them
+    into one float32 (n, t*c, h, w) batch.
 
     With cfg.normalize the 0-255 values are centered and scaled to
     (v - 128) / 255; otherwise they are fed raw.
     """
-    x = np.stack([collapse_time(c.input).data for c in clips]).astype(np.float32)
-    y = np.stack([collapse_time(c.target).data for c in clips]).astype(np.float32)
+    x = np.stack([b.reshape(-1, *b.shape[2:]) for b in blocks]).astype(np.float32)
     if cfg.normalize:
         x -= 128.0
         x /= 255.0
-        y -= 128.0
-        y /= 255.0
-    return x, y
+    return x
 
 
 def _batch_forward(params: UNetParams, x: np.ndarray):
@@ -182,7 +180,8 @@ def train(
         total_n = 0
         for lo in range(0, len(order), sgd_config.batch_size):
             batch = [train_clips[i] for i in order[lo : lo + sgd_config.batch_size]]
-            x, y = _stack_inputs(batch, unet_config)
+            x = _stack_inputs([c.input for c in batch], unet_config)
+            y = _stack_inputs([c.target for c in batch], unet_config)
             pred, cache = _batch_forward(state.params, x)
             loss, grad_pred = mse_loss(pred, y)
             if not math.isfinite(loss):
@@ -224,7 +223,8 @@ def validation_losses(
     per_clip = []
     for lo in range(0, len(clips), batch_size):
         batch = clips[lo : lo + batch_size]
-        x, y = _stack_inputs(batch, cfg)
+        x = _stack_inputs([c.input for c in batch], cfg)
+        y = _stack_inputs([c.target for c in batch], cfg)
         pred = _batch_forward(params, x)[0]
         err = pred - y
         per_clip.extend(np.mean(err * err, axis=(1, 2, 3)).tolist())
@@ -249,15 +249,11 @@ def predict(params: UNetParams, clip: Clip) -> np.ndarray:
         raise ValueError(
             f"out_channels {cfg.out_channels} not divisible by {TARGET_FRAMES} frames"
         )
-    x, _ = _stack_inputs([clip], cfg)
-    out = _batch_forward(params, x)[0]
-    out = out[0].astype(np.float64)
+    x = _stack_inputs([clip.input], cfg)
+    out = _batch_forward(params, x)[0][0].astype(np.float64)  # (3*c, h, w)
     if cfg.normalize:
         out = out * 255.0 + 128.0
-    frames = expand_time(
-        CollapsedSample(out, TARGET_FRAMES, cfg.out_channels // TARGET_FRAMES)
-    )
-    return round_half_up_uint8(frames)
+    return round_half_up_uint8(out.reshape(TARGET_FRAMES, -1, *out.shape[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -371,8 +371,7 @@ def _pipeline_run(root):
     slots = root / "slots.txt"
     slots.write_text("20\n28\n36\n")
     config = {
-        "unet": {"depth": 2, "in_channels": 36, "out_channels": 9,
-                 "base_channels": 4, "normalize": True},
+        "unet": {"depth": 2, "base_channels": 4, "normalize": True},
         "sgd": {"lr_initial": 0.05, "lr_after_drop": 0.01, "drop_epoch": 2,
                 "epochs": 3, "seed": 42},
         "data": {"stride": 8, "train_dates": ["2019-05-01", "2019-05-02"],

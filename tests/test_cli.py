@@ -1,11 +1,13 @@
+import contextlib
 import gc
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridcast import tensor_nn as tn
+from gridcast import cli, tensor_nn as tn, trainer
 from gridcast.cli import main
 from gridcast.dataset import synth_movie
 from gridcast.movie_store import open_movie
@@ -99,22 +101,24 @@ def test_slot_avg_baseline_matches_library(pipeline_dirs, tmp_path):
         "baseline", "--kind", "slot_avg", "--data", data, "--slots", slots,
         "--out", out, "--model-out", model_file,
     ) == 0
-    movies = [open_movie(p) for p in sorted(data.glob("*.tmm"))]
-    model = baselines.time_slot_average(movies, [20, 21, 22, 28, 29, 30])
+    with contextlib.ExitStack() as stack:
+        movies = [stack.enter_context(open_movie(p)) for p in sorted(data.glob("*.tmm"))]
+        model = baselines.time_slot_average(movies, [20, 21, 22, 28, 29, 30])
     expected = baselines.predict_slot_average(model, ClipSpec("q", "2019-05-01", 8))
     with open_movie(out / "q__2019-05-01__t0008.tmm") as m:
         assert np.array_equal(m.read_all(), expected)
-    for m in movies:
-        m.close()
     assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("avg_model")) == ["avg_model.tmm"]
     assert baselines.load_model(model_file).slots == [20, 21, 22, 28, 29, 30]
 
 
 @pytest.mark.parametrize("train_shape", ["48,3,4,4", "48,1,8,8"], ids=["grid", "channels"])
-def test_slot_avg_baseline_rejects_model_on_other_grid(pipeline_dirs, tmp_path, capsys, train_shape):
+def test_slot_avg_baseline_rejects_model_on_other_grid(pipeline_dirs, tmp_path, capsys, monkeypatch, train_shape):
+    from gridcast import baselines
+
     data, slots = pipeline_dirs
     train = tmp_path / "train"
     run("synth", "--kind", "constant", "--shape", train_shape, "--days", 2, "--out", train)
+    monkeypatch.setattr(baselines, "time_slot_average", lambda *a: pytest.fail("a training frame was read"))
     out, model_file = tmp_path / "avg", tmp_path / "model.tmm"
     assert run(
         "baseline", "--kind", "slot_avg", "--train", train, "--data", data, "--slots", slots,
@@ -166,8 +170,7 @@ def test_evaluate_missing_truth_errors(pipeline_dirs, tmp_path):
 
 def train_config(tmp_path, epochs=2, seed=3):
     cfg = {
-        "unet": {"depth": 2, "in_channels": 36, "out_channels": 9,
-                 "base_channels": 4, "normalize": True},
+        "unet": {"depth": 2, "base_channels": 4, "normalize": True},
         "sgd": {"lr_initial": 0.05, "lr_after_drop": 0.01, "drop_epoch": 1,
                 "epochs": epochs, "seed": seed},
         "data": {"stride": 8, "val_dates": ["2019-05-03"],
@@ -216,8 +219,12 @@ def test_train_replay_identical_checkpoints(pipeline_dirs, tmp_path):
         (lambda cfg: {**cfg, "data": {**cfg["data"], "val_strid": 4}}, "'val_strid'"),
         (lambda cfg: {**cfg, "optim": {}}, "'optim'"),
         (lambda cfg: [1, 2], "got list"),
+        # channel counts come from the movies, and clips are never cropped
+        (lambda cfg: {**cfg, "unet": {**cfg["unet"], "out_channels": 3}}, "'out_channels'"),
+        (lambda cfg: {**cfg, "unet": {**cfg["unet"], "in_channels": 36}}, "'in_channels'"),
+        (lambda cfg: {**cfg, "data": {**cfg["data"], "region": [0, 0, 4, 4]}}, "'region'"),
     ],
-    ids=["unet_key", "data_key", "section", "not_object"],
+    ids=["unet_key", "data_key", "section", "not_object", "channels", "in_channels", "region"],
 )
 def test_train_rejects_unknown_config_keys(pipeline_dirs, tmp_path, capsys, edit, named):
     data, _ = pipeline_dirs
@@ -249,8 +256,7 @@ def test_train_rejects_mixed_cities(tmp_path, capsys):
 def test_train_numerical_failure_exit_code(pipeline_dirs, tmp_path, capsys):
     data, _ = pipeline_dirs
     cfg = {
-        "unet": {"depth": 2, "in_channels": 36, "out_channels": 9,
-                 "base_channels": 4, "normalize": False},
+        "unet": {"depth": 2, "base_channels": 4, "normalize": False},
         "sgd": {"lr_initial": 1e6, "lr_after_drop": 1e6, "drop_epoch": 0,
                 "epochs": 3, "seed": 0},
         "data": {"stride": 8, "val_dates": ["2019-05-03"],
@@ -322,19 +328,30 @@ def test_predict_rejects_data_with_other_channels(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_train_rejects_config_for_other_channels(pipeline_dirs, tmp_path, capsys, monkeypatch):
-    from gridcast import dataset
+def test_train_takes_channels_from_the_movies(tmp_path):
+    data = tmp_path / "data"
+    run("synth", "--kind", "slot_pattern", "--seed", 6, "--shape", "48,1,8,8",
+        "--days", 3, "--city", "q", "--start-date", "2019-05-01", "--out", data)
+    ckpt = tmp_path / "net.unp"
+    assert run("train", "--config", train_config(tmp_path, epochs=1), "--data", data, "--out", ckpt) == 0
+    cfg = tn.load_params(ckpt).config
+    assert (cfg.in_channels, cfg.out_channels) == (12, 3)
+    pred = tmp_path / "pred"
+    assert run("predict", "--ckpt", ckpt, "--data", data, "--out", pred, "--stride", 16) == 0
+    with open_movie(pred / "q__2019-05-01__t0000.tmm") as m:
+        assert m.header.shape == (3, 1, 8, 8)
 
-    data, _ = pipeline_dirs
-    path = train_config(tmp_path)
-    cfg = json.loads(path.read_text())
-    cfg["unet"]["out_channels"] = 3
-    path.write_text(json.dumps(cfg))
-    monkeypatch.setattr(dataset, "load_clip", lambda *a: pytest.fail("a clip was loaded"))
-    ckpt = tmp_path / "x.unp"
-    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
-    assert "q_2019-05-01.tmm: c=3 needs a U-Net with 36 input and 9 output" in capsys.readouterr().err
-    assert not ckpt.exists()
+
+def test_documented_configs_match_the_schema(tmp_path):
+    """The cli docstring's example is the defaults; the README's config parses."""
+    doc = cli.__doc__
+    path = tmp_path / "doc.json"
+    path.write_text(doc[doc.index("{") : doc.rindex("}") + 1])
+    assert cli._read_config(path) == (tn.UNetConfig(), trainer.SGDConfig(), cli._DATA_DEFAULTS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path.write_text(readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
+    unet, sgd, data = cli._read_config(path)
+    assert (unet.depth, sgd.epochs, data["test_slots_file"]) == (2, 20, "slots.txt")
 
 
 def test_train_rejects_days_on_different_grids(pipeline_dirs, tmp_path, capsys):

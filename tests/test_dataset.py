@@ -81,21 +81,12 @@ def test_load_clip_frames_are_readonly_store_views(ramp_movie):
         a.input[0, 0, 0, 0] = 99
 
 
-def test_load_clip_region_crop(ramp_movie):
-    spec = ClipSpec("toy", "2019-01-07", 5, region=(1, 2, 4, 3))
-    clip = load_clip(spec, index_movies([ramp_movie]))
-    assert clip.input.shape == (12, 3, 4, 3)
-    assert clip.target.shape == (3, 3, 4, 3)
-
-
 def test_load_clip_errors(ramp_movie):
     movies = index_movies([ramp_movie])
     with pytest.raises(ValueError):
         load_clip(ClipSpec("toy", "2019-01-07", 274), movies)
     with pytest.raises(KeyError):
         load_clip(ClipSpec("elsewhere", "2019-01-07", 0), movies)
-    with pytest.raises(ValueError):
-        load_clip(ClipSpec("toy", "2019-01-07", 0, region=(5, 5, 4, 4)), movies)
 
 
 def test_collapse_shape_and_order():
