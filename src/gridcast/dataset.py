@@ -159,7 +159,10 @@ def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: i
         movie = rng.integers(0, 256, size=shape, dtype=np.uint8)
         if c > HEADING_CHANNEL:
             classes = np.array(HEADING_CLASSES, dtype=np.uint8)
-            movie[:, HEADING_CHANNEL] = classes[rng.integers(0, 4, size=(t, h, w))]
+            # one frame at a time: the same stream as one (t, h, w) draw,
+            # without its int64 temporary
+            for frame in movie:
+                frame[HEADING_CHANNEL] = classes[rng.integers(0, 4, size=(h, w))]
         return movie
     if kind == "slot_pattern":
         return _slot_pattern(t, c, h, w, seed)

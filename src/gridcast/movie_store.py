@@ -115,7 +115,7 @@ def ingest(raw: np.ndarray, city: str, date: str, dest: str | Path) -> Path:
     dest = Path(dest)
     with _atomic_write(dest) as f:
         f.write(header.encode())
-        f.write(np.ascontiguousarray(raw).tobytes())
+        f.write(np.ascontiguousarray(raw).data)  # the buffer itself, no bytes copy
     return dest
 
 

@@ -24,6 +24,11 @@ finished by a 1x1 convolution with no output activation. Encoder level ``i``
 carries ``base_channels * 2**i`` features. ``_layers`` is the single description
 of the network: the forward and backward passes, the parameter names and shapes,
 the init draw order and the checkpoint tensor order are all read from it.
+
+The forward cache keeps each activation once: a ReLU caches its output, which
+is the very array the next layer caches as its input, and a pool caches a
+uint8 argmax. The backward pass pops every entry once its layer is done, so
+activations are freed as it goes and the cache list ends up empty.
 """
 
 from __future__ import annotations
@@ -117,23 +122,25 @@ def relu_forward(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Gradient passes where x > 0; the subgradient at exactly 0 is 0."""
+    """Gradient passes where x > 0; the subgradient at exactly 0 is 0. ``x`` may
+    be the ReLU's input or its output: ``x > 0`` is the same mask for both,
+    also for NaN and -0.0."""
     return grad_out * (x > 0)
 
 
 def maxpool2d_forward(x: np.ndarray):
-    """2x2 stride-2 max-pool; returns (pooled, argmax) with argmax recording the
-    winning in-window index (row-major, first maximum wins)."""
+    """2x2 stride-2 max-pool; returns (pooled, argmax) with the uint8 argmax
+    recording the winning in-window index (row-major, first maximum wins)."""
     n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even, got {h}x{w}")
     pooled = x[:, :, ::2, ::2]
-    argmax = np.zeros(pooled.shape, dtype=np.intp)
+    argmax = np.zeros(pooled.shape, dtype=np.uint8)
     for idx, (dy, dx) in enumerate(_WINDOW[1:], start=1):
         v = x[:, :, dy::2, dx::2]
         better = v > pooled  # strict, so an earlier equal element keeps the win
         pooled = np.where(better, v, pooled)
-        argmax = np.where(better, idx, argmax)
+        argmax = np.where(better, np.uint8(idx), argmax)
     return pooled, argmax
 
 
@@ -339,8 +346,9 @@ def init_params(cfg: UNetConfig, seed: int, dtype=np.float32) -> UNetParams:
 
 def unet_forward_cached(params: UNetParams, x: np.ndarray):
     """Forward pass keeping what the backward pass needs: one cache entry per
-    layer of ``_layers``, the input of conv/relu/up, the argmax of pool, the
-    skip's channel count for concat, and None for skip."""
+    layer of ``_layers``, the input of conv/up, the output of relu (the same
+    array the next layer caches, so it is held once), the uint8 argmax of pool,
+    the skip's channel count for concat, and None for skip."""
     cfg = params.config
     n, ci, h, w = x.shape
     if ci != cfg.in_channels:
@@ -357,7 +365,7 @@ def unet_forward_cached(params: UNetParams, x: np.ndarray):
         elif kind == "up":
             x = upconv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"])
         elif kind == "relu":
-            x = relu_forward(x)
+            x = entry = relu_forward(x)
         elif kind == "pool":
             x, entry = maxpool2d_forward(x)
         elif kind == "skip":
@@ -379,12 +387,16 @@ def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
 
 def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray):
     """Run ``_layers`` in reverse over the forward cache; returns (parameter
-    gradients in canonical order, input gradient)."""
+    gradients in canonical order, input gradient).
+
+    Each entry is popped off ``cache`` as its layer runs, so an activation is
+    freed once no later step reads it and ``cache`` ends up empty."""
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
     skip_grads = []  # concat pushes the skip's share of the gradient, skip adds it back
     g = grad_out
-    for (kind, name, _), entry in zip(reversed(_layers(params.config)), reversed(cache)):
+    for kind, name, _ in reversed(_layers(params.config)):
+        entry = cache.pop()
         if kind == "conv":
             g, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(entry, t[f"{name}.w"], g)
         elif kind == "up":

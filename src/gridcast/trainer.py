@@ -156,6 +156,27 @@ def _loss_scale(cfg: UNetConfig) -> float:
     return 255.0**2 if cfg.normalize else 1.0
 
 
+def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGDConfig) -> float:
+    """Forward, backward and SGD update on one batch; returns its loss. The
+    stacked arrays, prediction, cache and gradients all die when it returns,
+    so none of them is held while validation runs."""
+    cfg = state.params.config
+    x = _stack_inputs([c.input for c in batch], cfg)
+    y = _stack_inputs([c.target for c in batch], cfg)
+    pred, cache = _batch_forward(state.params, x)
+    loss, grad_pred = mse_loss(pred, y)
+    if not math.isfinite(loss):
+        raise NumericalError(
+            f"non-finite training loss at epoch {state.epoch} step {state.step}"
+        )
+    # the gradient of a crop is a zero pad
+    grad_out, _ = pad_spatial(grad_pred, cfg.spatial_multiple)
+    del x, y, pred, grad_pred  # the backward pass reads only the cache and grad_out
+    grads, _ = unet_backward_cached(state.params, cache, grad_out)
+    sgd_step(state, grads, lr, sgd_config.momentum, sgd_config.nesterov)
+    return loss
+
+
 def train(
     unet_config: UNetConfig,
     sgd_config: SGDConfig,
@@ -180,18 +201,7 @@ def train(
         total_n = 0
         for lo in range(0, len(order), sgd_config.batch_size):
             batch = [train_clips[i] for i in order[lo : lo + sgd_config.batch_size]]
-            x = _stack_inputs([c.input for c in batch], unet_config)
-            y = _stack_inputs([c.target for c in batch], unet_config)
-            pred, cache = _batch_forward(state.params, x)
-            loss, grad_pred = mse_loss(pred, y)
-            if not math.isfinite(loss):
-                raise NumericalError(
-                    f"non-finite training loss at epoch {epoch} step {state.step}"
-                )
-            # the gradient of a crop is a zero pad
-            grad_out, _ = pad_spatial(grad_pred, unet_config.spatial_multiple)
-            grads, _ = unet_backward_cached(state.params, cache, grad_out)
-            sgd_step(state, grads, lr, sgd_config.momentum, sgd_config.nesterov)
+            loss = _train_step(state, batch, lr, sgd_config)
             total_loss += loss * len(batch)
             total_n += len(batch)
 

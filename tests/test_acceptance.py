@@ -170,9 +170,12 @@ def _generic_net_point(cfg, seed):
                 arr += rng.uniform(-0.2, 0.2, size=arr.shape)
         x = rng.normal(size=(1, cfg.in_channels, 8, 8))
         _, cache = tn.unet_forward_cached(params, x)
+        # relu entries hold outputs, so each pre-activation is recomputed from
+        # the cached input and the weights of the conv just before the relu
+        layers, t = tn._layers(cfg), params.tensors
         margin = min(
-            np.abs(z).min()
-            for (kind, _, _), z in zip(tn._layers(cfg), cache)
+            np.abs(tn.conv2d_forward(conv_in, t[f"{name}.w"], t[f"{name}.b"])).min()
+            for (_, name, _), (kind, _, _), conv_in in zip(layers, layers[1:], cache)
             if kind == "relu"
         )
         if margin > 1e-3:

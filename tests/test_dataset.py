@@ -162,6 +162,17 @@ def test_synth_random_heading_classes():
     assert np.array_equal(movie, synth_movie("random", 3, (10, 3, 6, 6)))
 
 
+@pytest.mark.parametrize("shape", [(5, 3, 3, 5), (4, 3, 6, 6)])  # odd and even h*w
+def test_synth_random_keeps_its_stream(shape):
+    # the one-shot algorithm the per-frame heading draw replaced
+    rng = np.random.default_rng(11)
+    t, _, h, w = shape
+    old = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    classes = np.array(dataset.HEADING_CLASSES, dtype=np.uint8)
+    old[:, dataset.HEADING_CHANNEL] = classes[rng.integers(0, 4, size=(t, h, w))]
+    assert np.array_equal(synth_movie("random", 11, shape), old)
+
+
 def test_synth_rejects_unknown_kind():
     with pytest.raises(ValueError):
         synth_movie("noise", 0, (1, 1, 1, 1))

@@ -52,6 +52,17 @@ def test_roundtrip_random(tmp_path):
         assert m.header.city == "Berlin"
 
 
+def test_ingest_non_contiguous_view(tmp_path):
+    raw = np.random.default_rng(2).integers(0, 256, size=(3, 2, 4, 5), dtype=np.uint8)
+    view = raw[:, ::-1]
+    assert not view.flags.c_contiguous
+    a = ingest(view, "c", "d", tmp_path / "view.tmm")
+    b = ingest(np.ascontiguousarray(view), "c", "d", tmp_path / "copy.tmm")
+    assert a.read_bytes() == b.read_bytes()
+    with open_movie(a) as m:
+        assert np.array_equal(m.read_frames(0, 3), view)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     arrays(

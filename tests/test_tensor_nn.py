@@ -296,6 +296,31 @@ def test_unet_forward_deterministic():
     assert a.tobytes() == b.tobytes()
 
 
+def test_unet_cache_holds_each_activation_once_and_backward_empties_it():
+    cfg = tn.UNetConfig(depth=3, in_channels=4, out_channels=2, base_channels=3)
+    params = tn.init_params(cfg, seed=0, dtype=np.float64)
+    x = np.random.default_rng(6).normal(size=(2, 4, 8, 8))
+    _, cache = tn.unet_forward_cached(params, x)
+    layers = tn._layers(cfg)
+    assert len(cache) == len(layers)
+    for i, (kind, _, _) in enumerate(layers):
+        if kind == "relu":
+            assert (cache[i] >= 0).all()  # the output, not the pre-activation
+            reader = layers[i + 1][0]
+            if reader != "skip":  # skip caches None and the pool after it an argmax
+                assert reader in ("conv", "up") and cache[i + 1] is cache[i], (i, reader)
+        elif kind == "pool":
+            assert cache[i].dtype == np.uint8
+    tn.unet_backward_cached(params, cache, np.ones((2, 2, 8, 8)))
+    assert cache == []
+
+
+def test_relu_backward_same_mask_on_output():
+    x = np.array([np.nan, -0.0, 0.0, 1.5, -1.5, 1e-300, -1e-300, np.inf, -np.inf])
+    g = np.arange(1.0, x.size + 1)
+    assert np.array_equal(tn.relu_backward(tn.relu_forward(x), g), tn.relu_backward(x, g))
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
