@@ -94,18 +94,18 @@ def cmd_synth(args) -> int:
     shape = tuple(int(v) for v in args.shape.split(","))
     if len(shape) != 4:
         raise ValueError(f"--shape must be t,c,h,w, got {args.shape!r}")
+    if args.days < 1:
+        raise ValueError(f"--days must be >= 1, got {args.days}")
     out = Path(args.out)
     start = _date.fromisoformat(args.start_date)
-    if args.days == 1 and out.suffix == ".tmm":
-        paths = [out]
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        paths = None
+    single = args.days == 1 and out.suffix == ".tmm"
     for i in range(args.days):
         day = (start + timedelta(days=i)).isoformat()
         seed = args.seed + i * args.day_seed_step
         movie = dataset.synth_movie(args.kind, seed, shape, value=args.value)
-        path = paths[0] if paths else out / f"{args.city}_{day}.tmm"
+        if not single:  # made once the first movie exists, so a rejected one leaves nothing
+            out.mkdir(parents=True, exist_ok=True)
+        path = out if single else out / f"{args.city}_{day}.tmm"
         movie_store.ingest(movie, args.city, day, path)
         print(f"wrote {path}")
     return 0
@@ -114,6 +114,32 @@ def cmd_synth(args) -> int:
 _DATA_DEFAULTS = {
     "city": None, "stride": 1, "val_stride": None, "train_dates": None,
     "val_dates": None, "test_slots_file": None, "train_on_test_slots_only": False,
+}
+
+# the kinds of config value, named as an error names them, and their tests
+# (``type(v) is int`` is false for true and false)
+_INT, _NUMBER, _BOOL = "an integer", "a finite number", "true or false"
+_STR, _DATES, _STRIDE = "null or a string", "null or a list of strings", "null or an integer >= 1"
+_KINDS = {
+    _INT: lambda v: type(v) is int,
+    _NUMBER: lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
+    _BOOL: lambda v: type(v) is bool,
+    _STR: lambda v: v is None or type(v) is str,
+    _DATES: lambda v: v is None or (type(v) is list and all(type(d) is str for d in v)),
+    _STRIDE: lambda v: v is None or (type(v) is int and v >= 1),
+}
+
+# every settable key of each config section and the kind of its value
+_SCHEMA = {
+    "unet": {"depth": _INT, "base_channels": _INT, "normalize": _BOOL},
+    "sgd": {
+        "lr_initial": _NUMBER, "lr_after_drop": _NUMBER, "drop_epoch": _INT, "momentum": _NUMBER,
+        "nesterov": _BOOL, "batch_size": _INT, "epochs": _INT, "seed": _INT,
+    },
+    "data": {
+        "city": _STR, "stride": _INT, "val_stride": _STRIDE, "train_dates": _DATES,
+        "val_dates": _DATES, "test_slots_file": _STR, "train_on_test_slots_only": _BOOL,
+    },
 }
 
 
@@ -127,19 +153,23 @@ def _object(value, where: str, keys) -> dict:
     return value
 
 
+def _section(cfg: dict, name: str) -> dict:
+    """Config section ``name``; ValueError naming the key of any value not of its kind."""
+    where = f"config section {name!r}"
+    section = _object(cfg.get(name, {}), where, _SCHEMA[name])
+    for key, value in section.items():
+        kind = _SCHEMA[name][key]
+        if not _KINDS[kind](value):
+            raise ValueError(f"{where}: {key!r} must be {kind}, got {json.dumps(value)}")
+    return section
+
+
 def _read_config(path) -> tuple[tensor_nn.UNetConfig, trainer.SGDConfig, dict]:
     """The train config's U-Net and SGD configs and its data section with
     defaults filled in; the U-Net's channel counts are left at their defaults
     for ``cmd_train`` to set from the movies."""
-    cfg = _object(json.loads(Path(path).read_text()), "config", ("unet", "sgd", "data"))
-    unet, sgd, data = (
-        _object(cfg.get(name, {}), f"config section {name!r}", keys)
-        for name, keys in (
-            ("unet", ("depth", "base_channels", "normalize")),
-            ("sgd", [f.name for f in dataclasses.fields(trainer.SGDConfig)]),
-            ("data", _DATA_DEFAULTS),
-        )
-    )
+    cfg = _object(json.loads(Path(path).read_text()), "config", _SCHEMA)
+    unet, sgd, data = (_section(cfg, name) for name in _SCHEMA)
     return tensor_nn.UNetConfig(**unet), trainer.SGDConfig(**sgd), {**_DATA_DEFAULTS, **data}
 
 
@@ -318,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--days", type=int, default=1)
     sp.add_argument("--city", default="synthville")
     sp.add_argument("--start-date", default="2019-01-07")
-    sp.add_argument("--value", type=int, default=0, help="cell value for kind=constant")
+    sp.add_argument("--value", type=int, default=0, help="cell value (0-255) for kind=constant")
     sp.add_argument(
         "--day-seed-step",
         type=int,
@@ -331,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train a U-Net on stored movies")
     sp.add_argument("--config", required=True, help="JSON config (unet/sgd/data sections)")
     sp.add_argument("--data", required=True, help="directory of .tmm movies")
-    sp.add_argument("--out", required=True, help="checkpoint output path (UNP1)")
+    sp.add_argument("--out", required=True, help="checkpoint output path (UNP2)")
     sp.add_argument("--log", help="epoch CSV path (default: <out>.csv)")
     sp.set_defaults(func=cmd_train)
 

@@ -149,6 +149,8 @@ def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: i
     t, c, h, w = shape
     if min(shape) < 1:
         raise ValueError(f"invalid shape {shape}")
+    if not 0 <= value <= 255:
+        raise ValueError(f"value must be in 0..255, got {value}")
     if kind == "constant":
         return np.full(shape, value, dtype=np.uint8)
     if kind == "time_ramp":

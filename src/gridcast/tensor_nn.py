@@ -34,6 +34,7 @@ activations are freed as it goes and the cache list ends up empty.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,10 +43,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .movie_store import _atomic_write
-
-CKPT_MAGIC = b"UNP1"
-CKPT_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # kernels
@@ -291,7 +288,7 @@ def _layers(cfg: UNetConfig):
     Kinds: ``conv`` (weight (co, ci, kh, kw)), ``up`` (weight (ci, co, 2, 2)),
     ``relu``, ``pool``, ``skip`` (push the activation) and ``concat`` (pop the
     latest skip and put it in front of the current channels). Only conv and up
-    layers have a name and a weight shape; they come in canonical UNP1 order.
+    layers have a name and a weight shape; they come in UNP2 checkpoint order.
     """
     layers = []
 
@@ -425,67 +422,51 @@ def unet_backward(params: UNetParams, x: np.ndarray, grad_out: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format UNP1
+# checkpoint format UNP2: the config fixes every tensor's name, order and shape
+
+CKPT_MAGIC = b"UNP2"
+_CKPT_HEADER = struct.Struct("<4sHIIIB")  # magic, depth, in/out/base channels, normalize 0/1
+
 
 def save_params(params: UNetParams, path: str | Path) -> Path:
-    """Write a UNP1 checkpoint atomically: into ``<path>.part``, then renamed
-    over ``path``, so a failed write leaves any earlier checkpoint intact.
-
-    Layout (little-endian): magic "UNP1", u16 version, u16 depth, u32
-    in_channels, u32 out_channels, u32 base_channels, u8 normalize, u32 tensor
-    count; then per tensor: u16 name length + UTF-8 name, u8 rank, rank*u32
-    dims, raw float32 values.
-    """
+    """Write a UNP2 checkpoint: the header, then every tensor's little-endian
+    float32 values in ``_param_shapes`` order. ValueError unless the tensors are
+    exactly those, in that order and shape. The write goes to ``<path>.part``
+    and is renamed over ``path``, so a failed write leaves an earlier file intact."""
     cfg = params.config
-    path = Path(path)
+    expected = list(_param_shapes(cfg).items())
+    if [(name, arr.shape) for name, arr in params.tensors.items()] != expected:
+        raise ValueError(f"params do not hold the {len(expected)} tensors of {cfg} in order")
     with _atomic_write(path) as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack(
-            "<HHIIIBI", CKPT_VERSION, cfg.depth, cfg.in_channels, cfg.out_channels,
-            cfg.base_channels, int(cfg.normalize), len(params.tensors),
-        ))
-        for name, arr in params.tensors.items():
-            nb = name.encode("utf-8")
-            f.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    return path
+        f.write(_CKPT_HEADER.pack(CKPT_MAGIC, cfg.depth, cfg.in_channels, cfg.out_channels,
+                                  cfg.base_channels, cfg.normalize))
+        for arr in params.tensors.values():
+            f.write(np.ascontiguousarray(arr, dtype="<f4").data)  # the buffer, no bytes copy
+    return Path(path)
 
 
 def load_params(path: str | Path) -> UNetParams:
-    """Read a UNP1 checkpoint. Raises ValueError unless the file holds exactly
-    the tensors of its config, in canonical order, with finite values and
-    nothing after the last one."""
+    """Read a UNP2 checkpoint. ValueError unless the header is a valid config
+    and the file is exactly the header plus that config's values, all finite.
+    The size is checked before the payload is read, so a forged header cannot
+    make the reader allocate more than the file holds."""
     with open(path, "rb") as f:
-
-        def read(n: int) -> bytes:
-            data = f.read(n)
-            if len(data) != n:
-                raise ValueError(f"{path} is truncated")
-            return data
-
-        if read(4) != CKPT_MAGIC:
-            raise ValueError(f"{path} is not a UNP1 checkpoint")
-        version, depth, ci, co, base, normalize, count = struct.unpack("<HHIIIBI", read(21))
-        if version != CKPT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+        head = f.read(_CKPT_HEADER.size)
+        if len(head) != _CKPT_HEADER.size or head[:4] != CKPT_MAGIC:
+            raise ValueError(f"{path} is too short or not a UNP2 checkpoint")
+        _, depth, ci, co, base, normalize = _CKPT_HEADER.unpack(head)
+        if normalize > 1:
+            raise ValueError(f"{path}: normalize byte {normalize} is not 0 or 1")
         cfg = UNetConfig(depth, ci, co, base, bool(normalize))
         if cfg.level_channels(depth - 1) >= 2**32:  # dims are u32; also bounds the depth
             raise ValueError(f"{path}: config {cfg} has channel counts beyond u32")
-        expected = _param_shapes(cfg)
-        if count != len(expected):
-            raise ValueError(f"checkpoint holds {count} tensors, config {cfg} has {len(expected)}")
-        tensors = {}
-        for name, shape in expected.items():
-            (name_len,) = struct.unpack("<H", read(2))
-            got = read(name_len).decode("utf-8")
-            (rank,) = struct.unpack("<B", read(1))
-            dims = struct.unpack(f"<{rank}I", read(4 * rank))
-            if (got, dims) != (name, shape):  # checked before the size is trusted
-                raise ValueError(f"checkpoint tensor {got!r} {dims} where {name!r} {shape} belongs")
-            data = np.frombuffer(read(4 * math.prod(dims)), dtype="<f4")
-            if not np.isfinite(data).all():
-                raise ValueError(f"{path}: tensor {name!r} holds non-finite values")
-            tensors[name] = data.reshape(dims).astype(np.float32)
-        if f.read(1):
-            raise ValueError(f"{path} has bytes after its last tensor")
-    return UNetParams(cfg, tensors)
+        shapes = _param_shapes(cfg)
+        sizes = [math.prod(shape) for shape in shapes.values()]
+        actual, expected = os.fstat(f.fileno()).st_size, _CKPT_HEADER.size + 4 * sum(sizes)
+        if actual != expected:
+            raise ValueError(f"{path}: file size {actual} != header + payload {expected} of {cfg}")
+        values = np.fromfile(f, dtype="<f4", count=sum(sizes)).astype(np.float32, copy=False)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{path} holds non-finite values")
+    parts = np.split(values, np.cumsum(sizes)[:-1])
+    return UNetParams(cfg, {name: p.reshape(shape) for (name, shape), p in zip(shapes.items(), parts)})

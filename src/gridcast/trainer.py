@@ -56,6 +56,8 @@ class SGDConfig:
     def __post_init__(self):
         if self.lr_initial <= 0 or self.lr_after_drop <= 0:
             raise ValueError("learning rates must be > 0")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.drop_epoch > self.epochs:
             raise ValueError("drop_epoch must be <= epochs")
         if self.batch_size < 1:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import gc
 import json
 import warnings
@@ -236,6 +237,73 @@ def test_train_rejects_unknown_config_keys(pipeline_dirs, tmp_path, capsys, edit
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [
+        ("sgd", "epochs", "3"),
+        ("unet", "depth", "2"),
+        ("data", "stride", "2"),
+        ("sgd", "batch_size", 2.5),
+        ("sgd", "momentum", None),
+        ("data", "val_stride", 0),
+        ("sgd", "seed", True),
+        ("sgd", "lr_initial", float("nan")),
+        ("unet", "normalize", 1),
+        ("data", "city", 3),
+        ("data", "train_dates", ["2019-05-01", 2]),
+    ],
+)
+def test_train_rejects_config_values_of_the_wrong_kind(
+    pipeline_dirs, tmp_path, capsys, monkeypatch, section, key, value
+):
+    from gridcast import movie_store
+
+    data, _ = pipeline_dirs
+    path = train_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg[section][key] = value
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(movie_store, "open_movie", lambda *a: pytest.fail("a movie was opened"))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    assert f"config section {section!r}: {key!r} must be" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_config_schema_covers_every_config_field():
+    assert list(cli._SCHEMA["sgd"]) == [f.name for f in dataclasses.fields(trainer.SGDConfig)]
+    assert list(cli._SCHEMA["data"]) == list(cli._DATA_DEFAULTS)
+
+
+def test_train_rejects_zero_epochs(pipeline_dirs, tmp_path, capsys):
+    data, _ = pipeline_dirs
+    path = train_config(tmp_path, epochs=0)
+    cfg = json.loads(path.read_text())
+    cfg["sgd"]["drop_epoch"] = 0
+    path.write_text(json.dumps(cfg))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    assert "epochs must be >= 1" in capsys.readouterr().err
+    assert not ckpt.exists() and not (tmp_path / "x.unp.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--value", 300), "value must be in 0..255"),
+        (("--value", -1), "value must be in 0..255"),
+        (("--days", 0), "--days must be >= 1"),
+        (("--days", 2, "--value", 256), "value must be in 0..255"),
+    ],
+    ids=["value_300", "value_negative", "no_days", "two_days"],
+)
+def test_synth_rejects_what_it_cannot_store(tmp_path, capsys, argv, message):
+    for out in (tmp_path / "days", tmp_path / "one.tmm"):
+        assert run("synth", "--kind", "constant", "--shape", "4,1,2,2", *argv, "--out", out) == 2
+        assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_missing_data_dir(tmp_path):
     cfg = train_config(tmp_path)
     assert run("train", "--config", cfg, "--data", tmp_path / "missing", "--out", tmp_path / "x.unp") == 2
@@ -293,15 +361,24 @@ def test_train_non_finite_validation_loss_exit_code(pipeline_dirs, tmp_path, mon
     assert not ckpt.exists()
 
 
-@pytest.mark.parametrize("fault", ["short_header", "padded", "nan"])
+@pytest.mark.parametrize("fault", ["short_header", "short_payload", "padded", "nan", "unp1", "normalize", "wide"])
 def test_predict_rejects_broken_checkpoint(pipeline_dirs, tmp_path, capsys, fault):
+    from test_tensor_nn import _unp1_bytes
+
     data, slots = pipeline_dirs
     params = tn.init_params(tn.UNetConfig(depth=1, in_channels=36, out_channels=9, base_channels=2), 0)
     if fault == "nan":
         params.tensors["head.w"][0, 0, 0, 0] = np.nan
     ckpt = tn.save_params(params, tmp_path / "net.unp")
     good = ckpt.read_bytes()
-    ckpt.write_bytes({"short_header": good[:15], "padded": good + bytes(8)}.get(fault, good))
+    ckpt.write_bytes({
+        "short_header": good[:15],
+        "short_payload": good[:-4],
+        "padded": good + bytes(8),
+        "unp1": _unp1_bytes(params),
+        "normalize": good[:18] + bytes([2]) + good[19:],
+        "wide": good[:14] + (2**20).to_bytes(4, "little") + good[18:],  # base_channels
+    }.get(fault, good))
     out = tmp_path / "pred"
     assert run("predict", "--ckpt", ckpt, "--data", data, "--slots", slots, "--out", out) == 2
     assert "error" in capsys.readouterr().err

@@ -139,6 +139,13 @@ def test_slots_file_roundtrip(tmp_path):
     assert read_slots(path) == {12, 30, 100}
 
 
+@pytest.mark.parametrize("value", [-1, 256, 300])
+def test_synth_rejects_values_a_uint8_cannot_hold(value):
+    assert np.all(synth_movie("constant", 0, (1, 1, 2, 2), value=255) == 255)
+    with pytest.raises(ValueError, match="0..255"):
+        synth_movie("constant", 0, (1, 1, 2, 2), value=value)
+
+
 def test_synth_constant_and_ramp():
     zeros = synth_movie("constant", 0, (4, 3, 2, 2))
     assert not zeros.any()

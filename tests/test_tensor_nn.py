@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import struct
 import tracemalloc
 
 import numpy as np
@@ -329,7 +331,7 @@ def test_checkpoint_roundtrip(tmp_path):
     params = tn.init_params(cfg, seed=11)
     path = tmp_path / "net.unp"
     tn.save_params(params, path)
-    assert path.read_bytes()[:4] == b"UNP1"
+    assert path.read_bytes()[:4] == b"UNP2"
     loaded = tn.load_params(path)
     assert loaded.config == cfg
     assert list(loaded.tensors) == list(params.tensors)
@@ -348,7 +350,19 @@ def _small_params(seed=1):
     return tn.init_params(tn.UNetConfig(depth=2, in_channels=2, out_channels=3, base_channels=1), seed)
 
 
-@pytest.mark.parametrize("fault", ["short_header", "short_tensor", "padded", "nan", "inf", "deep"])
+def _unp1_bytes(params) -> bytes:
+    """``params`` in the retired UNP1 layout, which also stored a version, a
+    tensor count and each tensor's name and dims."""
+    c = params.config
+    out = [b"UNP1", struct.pack("<HHIIIBI", 1, c.depth, c.in_channels, c.out_channels,
+                                c.base_channels, int(c.normalize), len(params.tensors))]
+    for name, arr in params.tensors.items():
+        out.append(struct.pack(f"<H{len(name)}sB{arr.ndim}I", len(name), name.encode(), arr.ndim, *arr.shape))
+        out.append(arr.astype("<f4").tobytes())
+    return b"".join(out)
+
+
+@pytest.mark.parametrize("fault", ["short_header", "short_tensor", "padded", "nan", "inf", "deep", "unp1"])
 def test_checkpoint_rejects_truncated_padded_and_non_finite(tmp_path, fault):
     params = _small_params()
     if fault in ("nan", "inf"):
@@ -359,7 +373,8 @@ def test_checkpoint_rejects_truncated_padded_and_non_finite(tmp_path, fault):
         "short_header": good[:15],
         "short_tensor": good[:-1],
         "padded": good + bytes(8),
-        "deep": good[:6] + (65535).to_bytes(2, "little") + good[8:],  # rejected before 65535 levels are built
+        "deep": good[:4] + (65535).to_bytes(2, "little") + good[6:],  # rejected before 65535 levels are built
+        "unp1": _unp1_bytes(params),
     }
     path.write_bytes(edited.get(fault, good))
     with pytest.raises(ValueError):
@@ -376,8 +391,70 @@ def test_checkpoint_every_strict_prefix_is_rejected(tmp_path_factory, data):
         tn.load_params(path)
 
 
+# offset and format of each UNP2 header field after the magic
+_CKPT_FIELDS = {
+    "depth": (4, "<H"), "in_channels": (6, "<I"), "out_channels": (10, "<I"),
+    "base_channels": (14, "<I"), "normalize": (18, "<B"),
+}
+
+
+@pytest.mark.parametrize("field", _CKPT_FIELDS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_corrupt_checkpoint_header_is_rejected(tmp_path_factory, field, data):
+    """Any other value in a header field is a ValueError, except that a
+    normalize byte of 0 or 1 loads the same weights with that flag."""
+    params = _small_params()
+    path = tn.save_params(params, tmp_path_factory.mktemp("ckpt") / "net.unp")
+    good = path.read_bytes()
+    off, fmt = _CKPT_FIELDS[field]
+    size = struct.calcsize(fmt)
+    old = struct.unpack_from(fmt, good, off)[0]
+    new = data.draw(st.integers(0, 2 ** (8 * size) - 1).filter(lambda v: v != old), label="value")
+    path.write_bytes(good[:off] + struct.pack(fmt, new) + good[off + size :])
+    if field == "normalize" and new in (0, 1):
+        loaded = tn.load_params(path)
+        assert loaded.config == dataclasses.replace(params.config, normalize=bool(new))
+        assert all(np.array_equal(loaded.tensors[k], v) for k, v in params.tensors.items())
+    else:
+        with pytest.raises(ValueError):
+            tn.load_params(path)
+
+
+def test_checkpoint_size_is_checked_before_the_payload_is_read(tmp_path):
+    """A header whose config needs ~70 MB of values, on a file of a few
+    hundred bytes, is rejected without allocating the claimed payload."""
+    path = tn.save_params(_small_params(), tmp_path / "net.unp")
+    good = path.read_bytes()
+    path.write_bytes(good[:14] + struct.pack("<I", 682) + good[18:])  # base_channels
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="file size"):
+            tn.load_params(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("fault", ["names", "order", "shape"])
+def test_save_rejects_tensors_the_config_does_not_fix(tmp_path, fault):
+    params = _small_params()
+    t = dict(params.tensors)
+    if fault == "names":
+        t["extra"] = np.zeros(1, dtype=np.float32)
+    elif fault == "order":
+        t = dict(reversed(t.items()))
+    else:
+        t["head.b"] = np.zeros(4, dtype=np.float32)
+    path = tmp_path / "net.unp"
+    with pytest.raises(ValueError):
+        tn.save_params(tn.UNetParams(params.config, t), path)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_parameter_order_is_canonical():
-    """Tensor order is the UNP1 serialization order and the init draw order."""
+    """Tensor order is the UNP2 serialization order and the init draw order."""
     cfg = tn.UNetConfig(depth=3, in_channels=6, out_channels=9, base_channels=4)
     expected = [
         ("enc0.conv1.w", (4, 6, 3, 3)), ("enc0.conv1.b", (4,)),

@@ -81,6 +81,8 @@ def test_sgd_config_validation():
         SGDConfig(lr_initial=0.0)
     with pytest.raises(ValueError):
         SGDConfig(drop_epoch=20, epochs=10)
+    with pytest.raises(ValueError, match="epochs must be >= 1"):
+        SGDConfig(drop_epoch=0, epochs=0)
 
 
 # ---------------------------------------------------------------------------
