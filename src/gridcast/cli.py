@@ -214,6 +214,8 @@ def cmd_train(args) -> int:
         used = train_movies + val_movies  # both nonempty, or enumerate_clips raised
         grid = used[0].header.shape[1:]
         _check_grid(used, grid, f"{used[0].path}'s")
+        if unet_cfg.spatial_multiple > max(grid[1:]):
+            raise ValueError(f"unet.depth {unet_cfg.depth} pools a {grid[1]}x{grid[2]} grid below 1 pixel")
         c = grid[0]
         unet_cfg = dataclasses.replace(
             unet_cfg, in_channels=dataset.INPUT_FRAMES * c, out_channels=dataset.TARGET_FRAMES * c

@@ -5,10 +5,10 @@ forward/backward pairs whose gradients are exact (validated against central
 finite differences in float64). Conventions:
 
   * convolutions are cross-correlations with zero same-padding, stride 1,
-    odd kernel sizes, computed as one im2col matrix product per image and band
-    of output rows; results are bit-reproducible for fixed array shapes, band
-    budget (``_BAND_ELEMENTS``) and BLAS thread count, but the summation order
-    inside each product is BLAS's own
+    odd kernel sizes, computed as one im2col matrix product per band of flat
+    positions of the whole padded batch; results are bit-reproducible for fixed
+    array shapes, band budget (``_BAND_ELEMENTS``) and BLAS thread count, but
+    the summation order inside each product is BLAS's own
   * max-pooling is 2x2 stride 2; ties go to the first window element in
     row-major order, and the gradient is routed there
   * up-convolutions are 2x2 stride-2 transposed convolutions (each output
@@ -40,53 +40,63 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .movie_store import _atomic_write
 
 # ---------------------------------------------------------------------------
 # kernels
 
-# Elements of one im2col band, (ci*kh*kw) x (rows*w). 2**22 float32 values
-# (16 MB) keep a full-grid conv's working set far below a whole-image column
-# buffer while each band's GEMM stays large enough for BLAS to run at speed.
-_BAND_ELEMENTS = 2**22
+# Elements of one im2col band, (ci*kh*kw) x positions: 4 MB of float32 keep the column buffer small
+# beside the activations, and a desk batch within two bands. 2**22 (16 MB) saved no time beyond the
+# run-to-run spread and raised peak RSS 9 % at desk scale and 11 % at 496x448 (78->86, 388->430 MB).
+_BAND_ELEMENTS = 2**20
 
 # (dy, dx) of the four 2x2 pooling-window elements; the index is the argmax.
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _im2col_bands(x: np.ndarray, kh: int, kw: int):
-    """Yield (image, r0, r1, cols) over bands of output rows [r0, r1).
-
-    ``cols`` is the same-padded (ci*kh*kw, (r1-r0)*w) column matrix of that
-    band, its rows ordered like ``k.reshape(co, -1)`` for a (co,ci,kh,kw) kernel.
-    """
+def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
+    """Same-pad (n, ci, h, w) ``x`` for an odd (kh, kw) kernel into one zeroed,
+    channel-major (ci, n*H*W) copy, H = h+kh-1 and W = w+kw-1."""
     n, ci, h, w = x.shape
-    depth = ci * kh * kw
-    rows = max(1, _BAND_ELEMENTS // (depth * w))
-    xp = np.pad(x, ((0, 0), (0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2)))
-    for i in range(n):
-        for r0 in range(0, h, rows):
-            r1 = min(h, r0 + rows)
-            win = sliding_window_view(xp[i, :, r0 : r1 + kh - 1], (kh, kw), axis=(1, 2))
-            yield i, r0, r1, win.transpose(0, 3, 4, 1, 2).reshape(depth, (r1 - r0) * w)
+    xp = np.zeros((ci, n, h + kh - 1, w + kw - 1), dtype=x.dtype)
+    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x.transpose(1, 0, 2, 3)
+    return xp.reshape(ci, -1)
 
 
-def _correlate(x: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation without bias, one GEMM per band."""
-    n, _, h, w = x.shape
-    co = k.shape[0]
+def _tap_bands(xpf: np.ndarray, kh: int, kw: int, w: int):
+    """Yield (b0, b1, cols) over bands of the flat output positions of ``_pad_flat``'s
+    ``xpf``. Position p reads ``xpf[:, p + dy*W + dx]`` for tap (dy, dx), so each
+    tap is one slice, also where a band crosses into the next image; the columns
+    of padding positions are computed, then cropped. ``cols`` is (ci*kh*kw, b1-b0),
+    rows ordered like ``k.reshape(co, -1)``, and the next band overwrites it."""
+    ci, size = xpf.shape
+    W = w + kw - 1
+    span = size - (kh - 1) * W - (kw - 1)  # one past the last output position
+    band = max(1, _BAND_ELEMENTS // (ci * kh * kw))
+    buf = np.empty((ci, kh * kw, min(band, span)), dtype=xpf.dtype)
+    for b0 in range(0, span, band):
+        b1 = min(span, b0 + band)
+        cols = buf[:, :, : b1 - b0]
+        for t, off in enumerate(dy * W + dx for dy in range(kh) for dx in range(kw)):
+            cols[:, t] = xpf[:, b0 + off : b1 + off]
+        yield b0, b1, cols.reshape(-1, b1 - b0)
+
+
+def _correlate(xpf: np.ndarray, k: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
+    """Same-padded stride-1 cross-correlation without bias of the (n, ci, h, w)
+    batch that ``_pad_flat`` made into ``xpf``, one GEMM per band."""
+    co, _, kh, kw = k.shape
     k2 = k.reshape(co, -1)
-    out = np.empty((n, co, h, w), dtype=x.dtype)
-    for i, r0, r1, cols in _im2col_bands(x, *k.shape[2:]):
-        out[i, :, r0:r1] = (k2 @ cols).reshape(co, r1 - r0, w)
-    return out
+    out = np.empty((co, n, h + kh - 1, w + kw - 1), dtype=xpf.dtype)
+    for b0, b1, cols in _tap_bands(xpf, kh, kw, w):
+        np.matmul(k2, cols, out=out.reshape(co, -1)[:, b0:b1])
+    return out[:, :, :h, :w].transpose(1, 0, 2, 3).copy()
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 cross-correlation: (n,ci,h,w) * (co,ci,kh,kw) -> (n,co,h,w)."""
-    ci = x.shape[1]
+    n, ci, h, w = x.shape
     co, ci_k, kh, kw = k.shape
     if ci != ci_k:
         raise ValueError(f"input has {ci} channels, kernel expects {ci_k}")
@@ -94,7 +104,7 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("same padding requires odd kernel dims")
-    out = _correlate(x, k)
+    out = _correlate(_pad_flat(x, kh, kw), k, n, h, w)
     out += bias[None, :, None, None]
     return out
 
@@ -105,11 +115,15 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     co, _, kh, kw = k.shape
     if grad_out.shape != (n, co, h, w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, h, w)}")
+    xpf = _pad_flat(x, kh, kw)
+    gpf = _pad_flat(grad_out, kh, kw)
+    shift = (kh // 2) * (w + kw - 1) + kw // 2  # gpf[:, p + shift]: grad_out at p, 0 if cropped
     grad_k = np.zeros((co, ci * kh * kw), dtype=k.dtype)
-    for i, r0, r1, cols in _im2col_bands(x, kh, kw):
-        grad_k += grad_out[i, :, r0:r1].reshape(co, -1) @ cols.T
+    for b0, b1, cols in _tap_bands(xpf, kh, kw, w):
+        grad_k += gpf[:, b0 + shift : b1 + shift] @ cols.T
+    del xpf, cols  # grad_x's buffers need not sit on top of the padded input
     # the input gradient correlates grad_out with the flipped, transposed kernel
-    grad_x = _correlate(grad_out, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    grad_x = _correlate(gpf, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), n, h, w)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     return grad_x, grad_k.reshape(k.shape), grad_bias
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridcast import cli, tensor_nn as tn, trainer
+from gridcast import cli, dataset, tensor_nn as tn, trainer
 from gridcast.cli import main
 from gridcast.dataset import synth_movie
 from gridcast.movie_store import open_movie
@@ -438,6 +438,32 @@ def test_train_rejects_days_on_different_grids(pipeline_dirs, tmp_path, capsys):
     ckpt = tmp_path / "x.unp"
     assert run("train", "--config", train_config(tmp_path), "--data", data, "--out", ckpt) == 2
     assert "q_2019-05-02.tmm: grid (c, h, w) (3, 6, 8) differs from" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+class _WeightsDrawn(Exception):
+    pass
+
+
+def test_train_rejects_a_unet_too_deep_for_the_grid(pipeline_dirs, tmp_path, capsys, monkeypatch):
+    data, _ = pipeline_dirs  # three 8x8 days
+    path = train_config(tmp_path)
+    cfg = json.loads(path.read_text())
+
+    def new_state(*args):
+        raise _WeightsDrawn
+
+    monkeypatch.setattr(trainer, "new_state", new_state)
+    ckpt = tmp_path / "x.unp"
+    cfg["unet"]["depth"] = 4  # pools 8x8 three times, down to 1x1: allowed
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(_WeightsDrawn):
+        run("train", "--config", path, "--data", data, "--out", ckpt)
+    cfg["unet"]["depth"] = 5
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(dataset, "load_clip", lambda *args: pytest.fail("a clip was loaded"))
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    assert "unet.depth 5 pools a 8x8 grid below 1 pixel" in capsys.readouterr().err
     assert not ckpt.exists()
 
 

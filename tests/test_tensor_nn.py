@@ -539,9 +539,22 @@ def test_conv_matches_direct_loops_across_row_bands():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(1, 64, 17, 1000))
     k = rng.normal(size=(2, 64, 3, 3))
-    rows = tn._BAND_ELEMENTS // (64 * 9 * 1000)
-    assert 1 <= rows < 17 and 17 % rows  # several bands, the last one short
+    band = tn._BAND_ELEMENTS // (64 * 9)
+    span = 17 * 1002 - 2  # flat output positions of the image padded to 19x1002
+    assert 1 <= band < span and span % band  # several bands, the last one short
     assert_conv_matches_naive(x, k, rng)
+
+
+@pytest.mark.parametrize("kh,kw", [(3, 3), (1, 1), (1, 3), (5, 3)])
+def test_conv_matches_direct_loops_with_bands_across_images(kh, kw, monkeypatch):
+    rng = np.random.default_rng(20 + kh * 10 + kw)
+    n, ci, h, w = 3, 2, 5, 6
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", ci * kh * kw * 37)  # 37 positions per band
+    x = rng.normal(size=(n, ci, h, w))
+    image = (h + kh - 1) * (w + kw - 1)  # flat positions of one padded image
+    bands = [(b0, b1) for b0, b1, _ in tn._tap_bands(tn._pad_flat(x, kh, kw), kh, kw, w)]
+    assert any(b0 // image < (b1 - 1) // image for b0, b1 in bands)  # a band spans two images
+    assert_conv_matches_naive(x, rng.normal(size=(ci, ci, kh, kw)), rng)
 
 
 @pytest.mark.parametrize("ci,co", [(1, 1), (3, 2), (8, 5)])
@@ -619,3 +632,23 @@ def test_conv_peak_memory_below_full_image_im2col():
             assert peak < full_cols, f"{call.__name__} peaked at {peak / 1e6:.0f} MB"
     finally:
         tracemalloc.stop()
+
+
+def test_conv_backward_frees_the_padded_input_before_grad_x(monkeypatch):
+    # grad_k needs the padded x and grad_out; grad_x needs the padded grad_out,
+    # the padded buffer its GEMMs fill and the cropped grad_x, which is smaller
+    # than the padded x. All of them at once means the padded x outlived grad_k.
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**10)
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(4, 64, 16, 24)).astype(np.float32)
+    k = rng.normal(size=(4, 64, 3, 3)).astype(np.float32)
+    go = rng.normal(size=(4, 4, 16, 24)).astype(np.float32)
+    padded_x, padded_go = x.nbytes * 18 * 26 // (16 * 24), go.nbytes * 18 * 26 // (16 * 24)
+    padded_grad_x = padded_x
+    tracemalloc.start()
+    try:
+        tn.conv2d_backward(x, k, go)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < padded_x + padded_go + padded_grad_x, f"peaked at {peak} B"
