@@ -25,6 +25,8 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
+import os
 import sys
 from datetime import date as _date, timedelta
 from pathlib import Path
@@ -220,6 +222,11 @@ def cmd_train(args) -> int:
         unet_cfg = dataclasses.replace(
             unet_cfg, in_channels=dataset.INPUT_FRAMES * c, out_channels=dataset.TARGET_FRAMES * c
         )
+        # params, velocity, the best copy and the gradients, each float32
+        need = 4 * 4 * sum(map(math.prod, tensor_nn._param_shapes(unet_cfg).values()))
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        if need > memory:
+            raise ValueError(f"{unet_cfg}: {need:,} bytes of parameters exceed the {memory:,} of memory")
         train_clips = [dataset.load_clip(s, by_key) for s in train_specs]
         val_clips = [dataset.load_clip(s, by_key) for s in val_specs]
     result = trainer.train(unet_cfg, sgd_cfg, train_clips, val_clips, test_slots)

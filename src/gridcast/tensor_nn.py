@@ -85,12 +85,18 @@ def _tap_bands(xpf: np.ndarray, kh: int, kw: int, w: int):
 
 def _correlate(xpf: np.ndarray, k: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     """Same-padded stride-1 cross-correlation without bias of the (n, ci, h, w)
-    batch that ``_pad_flat`` made into ``xpf``, one GEMM per band."""
+    batch that ``_pad_flat`` made into ``xpf``, one GEMM per band, into a
+    (co, n, H, W) buffer of all flat positions; ``_unpad_flat`` crops it."""
     co, _, kh, kw = k.shape
     k2 = k.reshape(co, -1)
     out = np.empty((co, n, h + kh - 1, w + kw - 1), dtype=xpf.dtype)
     for b0, b1, cols in _tap_bands(xpf, kh, kw, w):
         np.matmul(k2, cols, out=out.reshape(co, -1)[:, b0:b1])
+    return out
+
+
+def _unpad_flat(out: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Copy the (n, co, h, w) output out of ``_correlate``'s (co, n, H, W) buffer."""
     return out[:, :, :h, :w].transpose(1, 0, 2, 3).copy()
 
 
@@ -104,7 +110,7 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("same padding requires odd kernel dims")
-    out = _correlate(_pad_flat(x, kh, kw), k, n, h, w)
+    out = _unpad_flat(_correlate(_pad_flat(x, kh, kw), k, n, h, w), h, w)
     out += bias[None, :, None, None]
     return out
 
@@ -124,6 +130,8 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     del xpf, cols  # grad_x's buffers need not sit on top of the padded input
     # the input gradient correlates grad_out with the flipped, transposed kernel
     grad_x = _correlate(gpf, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), n, h, w)
+    del gpf  # the cropped copy need not sit on top of the padded grad_out
+    grad_x = _unpad_flat(grad_x, h, w)
     grad_bias = grad_out.sum(axis=(0, 2, 3))
     return grad_x, grad_k.reshape(k.shape), grad_bias
 

@@ -1,10 +1,10 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gridcast.baselines import (
-    SlotAverageModel,
     load_model,
     persistence,
     predict_slot_average,
@@ -36,7 +36,14 @@ def store_days(tmp_path):
 def test_mean_of_constant_days(store_days):
     days = [np.full((20, 3, 2, 2), v, dtype=np.uint8) for v in (10, 20, 30)]
     model = time_slot_average(store_days(days), slots=[5])
-    assert np.all(model.mean(5) == 20.0)
+    assert model.frames[5].dtype == np.uint8
+    assert np.all(model.frames[5] == 20)
+
+
+def test_slot_averages_the_days_that_reach_it(store_days):
+    days = [np.full((20, 1, 2, 2), 10, np.uint8), np.full((30, 1, 2, 2), 40, np.uint8)]
+    model = time_slot_average(store_days(days), slots=[19, 25])
+    assert np.all(model.frames[19] == 25) and np.all(model.frames[25] == 40)
 
 
 def test_all_zero_training_data(store_days):
@@ -54,8 +61,8 @@ def test_matches_brute_force_oracle(store_days):
     model = time_slot_average(store_days(days), slots)
     stacked = np.stack(days).astype(np.float64)
     for s in slots:
-        brute = stacked[:, s].mean(axis=0)
-        assert np.max(np.abs(model.mean(s) - brute)) <= 1e-9
+        brute = np.floor(stacked[:, s].mean(axis=0) + 0.5)  # half-up
+        assert np.array_equal(model.frames[s], brute)
 
 
 def test_day_permutation_invariance(store_days):
@@ -64,9 +71,9 @@ def test_day_permutation_invariance(store_days):
     movies = store_days(days)
     a = time_slot_average(movies, [2, 9])
     b = time_slot_average(list(reversed(movies)), [2, 9])
-    assert a.counts == b.counts
+    assert a.slots == b.slots == [2, 9]
     for s in (2, 9):
-        assert np.array_equal(a.sums[s], b.sums[s])
+        assert np.array_equal(a.frames[s], b.frames[s])
 
 
 def test_errors(store_days):
@@ -88,21 +95,40 @@ def test_rejects_days_on_different_grids(store_days):
     movies = store_days([np.full((20, 3, 4, 4), 10, np.uint8), np.full((20, 3, 1, 4), 30, np.uint8)])
     with pytest.raises(ValueError, match=r"grid \(c, h, w\) \(3, 1, 4\) differs from \(3, 4, 4\)"):
         time_slot_average(movies, [5])
+    assert [m.payload_bytes_read for m in movies] == [0, 0]  # every grid is checked first
 
 
-def test_prediction_rounding_rules():
+def test_prediction_rounding_rules(store_days):
     assert round_half_up_uint8(np.array([19.5])) == 20
     assert round_half_up_uint8(np.array([20.0])) == 20
     assert round_half_up_uint8(np.array([300.0])) == 255  # injected clamp path
-    # a model whose sums force a .5 mean rounds up
-    model = SlotAverageModel(
-        sums={12: np.full((1, 1, 1), 39, dtype=np.int64),
-              13: np.full((1, 1, 1), 39, dtype=np.int64),
-              14: np.full((1, 1, 1), 39, dtype=np.int64)},
-        counts={12: 2, 13: 2, 14: 2},
-    )
+    # days of 19 and 20 make a .5 mean, which the model rounds up
+    days = [np.full((20, 1, 1, 1), v, np.uint8) for v in (19, 20)]
+    model = time_slot_average(store_days(days), [12, 13, 14])
     pred = predict_slot_average(model, ClipSpec("c", "2019-02-01", 0))
     assert np.all(pred == 20)
+
+
+def test_rejects_a_slot_no_day_reaches_before_reading_a_frame(store_days):
+    movies = store_days([np.zeros((20, 1, 2, 2), np.uint8), np.zeros((22, 1, 2, 2), np.uint8)])
+    with pytest.raises(ValueError, match=r"zero observations: \[25\]"):
+        time_slot_average(movies, [3, 25])  # 25 is beyond both days
+    assert [m.payload_bytes_read for m in movies] == [0, 0]
+
+
+def test_slot_average_peak_memory_below_one_int64_frame_per_slot(store_days):
+    # an int64 sum per slot would be n_slots*c*h*w*8 bytes; the model itself
+    # is one uint8 frame per slot, summed through one reused int64 frame
+    rng = np.random.default_rng(9)
+    movies = store_days([rng.integers(0, 256, (48, 3, 64, 64), np.uint8) for _ in range(2)])
+    tracemalloc.start()
+    try:
+        model = time_slot_average(movies, range(48))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(model.slots) == 48
+    assert peak < 48 * 3 * 64 * 64 * 8, f"peaked at {peak} B"
 
 
 def test_persistence_on_ramp(store_days):
@@ -173,7 +199,10 @@ def test_model_save_load_roundtrip(store_days, tmp_path):
     path = tmp_path / "avg.tmm"
     save_model(model, path)
     loaded = load_model(path)
-    assert loaded.slots == [12, 13, 14, 17]
+    assert loaded.slots == model.slots == [12, 13, 14, 17]
+    for s in model.slots:
+        assert model.frames[s].dtype == loaded.frames[s].dtype == np.uint8
+        assert np.array_equal(loaded.frames[s], model.frames[s])
     spec = ClipSpec("c", "2019-02-01", 0)
     assert np.array_equal(
         predict_slot_average(loaded, spec), predict_slot_average(model, spec)

@@ -467,6 +467,33 @@ def test_train_rejects_a_unet_too_deep_for_the_grid(pipeline_dirs, tmp_path, cap
     assert not ckpt.exists()
 
 
+def test_train_rejects_parameters_beyond_memory(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    run(
+        "synth", "--kind", "random", "--shape", "16,3,256,8", "--days", 3,
+        "--city", "q", "--start-date", "2019-05-01", "--out", data,
+    )
+    path = train_config(tmp_path)
+    cfg = json.loads(path.read_text())
+
+    def new_state(*args):
+        raise _WeightsDrawn
+
+    monkeypatch.setattr(trainer, "new_state", new_state)
+    ckpt = tmp_path / "x.unp"
+    cfg["unet"] = {"depth": 9, "base_channels": 4}  # 256 rows pool down to 1: allowed, and small
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(_WeightsDrawn):
+        run("train", "--config", path, "--data", data, "--out", ckpt)
+    cfg["unet"]["base_channels"] = 4096  # its deepest conv alone is 9 * 2**40 weights
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(dataset, "load_clip", lambda *args: pytest.fail("a clip was loaded"))
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    err = capsys.readouterr().err
+    assert "depth=9" in err and "base_channels=4096" in err and "bytes of parameters exceed" in err
+    assert not ckpt.exists()
+
+
 @pytest.mark.parametrize("command", ["train", "predict", "baseline", "targets", "mask"])
 def test_commands_close_every_movie(pipeline_dirs, tmp_path, command):
     data, slots = pipeline_dirs

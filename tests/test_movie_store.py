@@ -210,13 +210,13 @@ def _write_epoch_log(path, fail):
 def _write_model(path, fail):
     """Slots 1-3, or 20,000 one-pixel slots: too many for the city's u16 length."""
     slots = range(1, 20_001 if fail else 4)
-    save_model(SlotAverageModel({s: np.full((1, 1, 1), s) for s in slots}, dict.fromkeys(slots, 1)), path)
+    save_model(SlotAverageModel({s: np.full((1, 1, 1), s % 256, np.uint8) for s in slots}), path)
 
 
 def _check_model(path):
     model = load_model(path)
     assert model.slots == [1, 2, 3]
-    assert [model.mean(s).item() for s in model.slots] == [1, 2, 3]
+    assert [model.frames[s].item() for s in model.slots] == [1, 2, 3]
 
 
 def _write_report(path, fail):

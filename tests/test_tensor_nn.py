@@ -652,3 +652,22 @@ def test_conv_backward_frees_the_padded_input_before_grad_x(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < padded_x + padded_go + padded_grad_x, f"peaked at {peak} B"
+
+
+def test_conv_backward_frees_the_padded_grad_out_before_cropping_grad_x(monkeypatch):
+    # with ci > co, cropping grad_x out of its padded buffer is the backward's
+    # peak; the padded grad_out is not needed by then
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**10)
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(2, 64, 32, 40)).astype(np.float32)
+    k = rng.normal(size=(4, 64, 3, 3)).astype(np.float32)
+    go = rng.normal(size=(2, 4, 32, 40)).astype(np.float32)
+    padded_grad_x, padded_go = x.nbytes * 34 * 42 // (32 * 40), go.nbytes * 34 * 42 // (32 * 40)
+    tracemalloc.start()
+    try:
+        grad_x = tn.conv2d_backward(x, k, go)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grad_x.shape == x.shape
+    assert peak < padded_grad_x + x.nbytes + padded_go, f"peaked at {peak} B"
