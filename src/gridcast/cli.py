@@ -87,7 +87,8 @@ def cmd_inspect(args) -> int:
             f"h={h.h} w={h.w} payload={h.payload_bytes}B"
         )
         if args.dump:
-            np.save(args.dump, m.read_all())
+            with movie_store._atomic_write(args.dump) as f:
+                np.save(f, m.read_all())
             print(f"dumped dense array to {args.dump}")
     return 0
 
@@ -231,7 +232,7 @@ def cmd_train(args) -> int:
         val_clips = [dataset.load_clip(s, by_key) for s in val_specs]
     result = trainer.train(unet_cfg, sgd_cfg, train_clips, val_clips, test_slots)
     tensor_nn.save_params(result.best_params, args.out)
-    log_path = args.log or f"{args.out}.csv"
+    log_path = f"{args.out}.csv"
     trainer.write_epoch_log(log_path, result.log)
     print(
         f"trained {sgd_cfg.epochs} epochs on {len(train_clips)} clips; "
@@ -347,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("inspect", help="print a movie header; optionally dump frames")
     sp.add_argument("file")
-    sp.add_argument("--dump", help="write the dense array to this .npy path")
+    sp.add_argument("--dump", help="write the dense array in .npy format to this path, as given")
     sp.set_defaults(func=cmd_inspect)
 
     sp = sub.add_parser("synth", help="generate synthetic movies")
@@ -370,8 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train a U-Net on stored movies")
     sp.add_argument("--config", required=True, help="JSON config (unet/sgd/data sections)")
     sp.add_argument("--data", required=True, help="directory of .tmm movies")
-    sp.add_argument("--out", required=True, help="checkpoint output path (UNP2)")
-    sp.add_argument("--log", help="epoch CSV path (default: <out>.csv)")
+    sp.add_argument("--out", required=True, help="UNP2 checkpoint path; the epoch log goes to <out>.csv")
     sp.set_defaults(func=cmd_train)
 
     def add_clip_source(sp):

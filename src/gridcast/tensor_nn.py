@@ -9,8 +9,8 @@ finite differences in float64). Conventions:
     positions of the whole padded batch; results are bit-reproducible for fixed
     array shapes, band budget (``_BAND_ELEMENTS``) and BLAS thread count, but
     the summation order inside each product is BLAS's own
-  * max-pooling is 2x2 stride 2; ties go to the first window element in
-    row-major order, and the gradient is routed there
+  * max-pooling is 2x2 stride 2 and a NaN in a window makes its max NaN; the
+    gradient goes to the window's first row-major element equal to its max
   * up-convolutions are 2x2 stride-2 transposed convolutions (each output
     pixel receives exactly one kernel tap), computed as one matrix product
     for all four taps followed by a pixel shuffle
@@ -25,10 +25,9 @@ carries ``base_channels * 2**i`` features. ``_layers`` is the single description
 of the network: the forward and backward passes, the parameter names and shapes,
 the init draw order and the checkpoint tensor order are all read from it.
 
-The forward cache keeps each activation once: a ReLU caches its output, which
-is the very array the next layer caches as its input, and a pool caches a
-uint8 argmax. The backward pass pops every entry once its layer is done, so
-activations are freed as it goes and the cache list ends up empty.
+Only ``unet_forward_cached`` keeps a backward cache, holding each activation once:
+a ReLU caches its output, the very array the next conv, up-conv or pool caches as
+its input, and the backward pass pops each entry once its layer is done.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from .movie_store import _atomic_write
 # run-to-run spread and raised peak RSS 9 % at desk scale and 11 % at 496x448 (78->86, 388->430 MB).
 _BAND_ELEMENTS = 2**20
 
-# (dy, dx) of the four 2x2 pooling-window elements; the index is the argmax.
+# (dy, dx) of the four 2x2 pooling-window elements in row-major order.
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -147,28 +146,29 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
-def maxpool2d_forward(x: np.ndarray):
-    """2x2 stride-2 max-pool; returns (pooled, argmax) with the uint8 argmax
-    recording the winning in-window index (row-major, first maximum wins)."""
-    n, c, h, w = x.shape
+def _window_max(x: np.ndarray) -> np.ndarray:
+    a, b, c, d = (x[:, :, dy::2, dx::2] for dy, dx in _WINDOW)
+    return np.maximum(np.maximum(a, b), np.maximum(c, d))  # np.maximum propagates NaN
+
+
+def maxpool2d_forward(x: np.ndarray) -> np.ndarray:
+    """2x2 stride-2 max-pool: (n,c,h,w) -> (n,c,h/2,w/2); a window holding a NaN pools to NaN."""
+    h, w = x.shape[2:]
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even, got {h}x{w}")
-    pooled = x[:, :, ::2, ::2]
-    argmax = np.zeros(pooled.shape, dtype=np.uint8)
-    for idx, (dy, dx) in enumerate(_WINDOW[1:], start=1):
-        v = x[:, :, dy::2, dx::2]
-        better = v > pooled  # strict, so an earlier equal element keeps the win
-        pooled = np.where(better, v, pooled)
-        argmax = np.where(better, np.uint8(idx), argmax)
-    return pooled, argmax
+    return _window_max(x)
 
 
-def maxpool2d_backward(argmax: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
-    """Scatter grad_out back to the recorded argmax positions."""
-    n, c, oh, ow = grad_out.shape
-    grad = np.empty((n, c, 2 * oh, 2 * ow), dtype=grad_out.dtype)
-    for idx, (dy, dx) in enumerate(_WINDOW):  # the four views cover grad exactly once
-        np.multiply(grad_out, argmax == idx, out=grad[:, :, dy::2, dx::2])
+def maxpool2d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the forward input ``x``: each window's grad_out goes to its
+    first row-major element equal to the window max; a NaN window equals nothing."""
+    m = _window_max(x)  # not maxpool2d_forward: the backward is no second forward
+    grad = np.empty(x.shape, dtype=grad_out.dtype)
+    routed = np.zeros(m.shape, dtype=bool)
+    for dy, dx in _WINDOW:  # the four views cover grad exactly once
+        win = (x[:, :, dy::2, dx::2] == m) & ~routed
+        np.multiply(grad_out, win, out=grad[:, :, dy::2, dx::2])
+        routed |= win
     return grad
 
 
@@ -363,11 +363,8 @@ def init_params(cfg: UNetConfig, seed: int, dtype=np.float32) -> UNetParams:
     return UNetParams(cfg, tensors)
 
 
-def unet_forward_cached(params: UNetParams, x: np.ndarray):
-    """Forward pass keeping what the backward pass needs: one cache entry per
-    layer of ``_layers``, the input of conv/up, the output of relu (the same
-    array the next layer caches, so it is held once), the uint8 argmax of pool,
-    the skip's channel count for concat, and None for skip."""
+def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarray:
+    """Run ``_layers`` forward, appending each layer's entry to ``cache`` unless it is None."""
     cfg = params.config
     n, ci, h, w = x.shape
     if ci != cfg.in_channels:
@@ -376,7 +373,7 @@ def unet_forward_cached(params: UNetParams, x: np.ndarray):
     if h % m or w % m:
         raise ValueError(f"spatial dims {h}x{w} not divisible by {m}")
     t = params.tensors
-    cache, skips = [], []
+    skips = []
     for kind, name, _ in _layers(cfg):
         entry = x
         if kind == "conv":
@@ -386,22 +383,29 @@ def unet_forward_cached(params: UNetParams, x: np.ndarray):
         elif kind == "relu":
             x = entry = relu_forward(x)
         elif kind == "pool":
-            x, entry = maxpool2d_forward(x)
+            x = maxpool2d_forward(x)
         elif kind == "skip":
             skips.append(x)
             entry = None
-        else:  # concat
-            skip = skips.pop()
-            entry = skip.shape[1]
-            x = concat_channels(skip, x)
-        cache.append(entry)
-    return x, cache
+        else:  # concat; no local name holds the skip once it is concatenated
+            entry = skips[-1].shape[1]
+            x = concat_channels(skips.pop(), x)
+        if cache is not None:
+            cache.append(entry)
+    return x
+
+
+def unet_forward_cached(params: UNetParams, x: np.ndarray):
+    """Forward pass returning (output, cache), one cache entry per layer of ``_layers``:
+    the input of conv/up/pool, the output of relu (the array the next layer caches,
+    so it is held once), the skip's channel count for concat, and None for skip."""
+    cache = []
+    return _forward(params, x, cache), cache
 
 
 def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
-    """Run the network; output spatial dims equal the (aligned) input dims."""
-    out, _ = unet_forward_cached(params, x)
-    return out
+    """Run the network holding only the skips; output dims equal the (aligned) input dims."""
+    return _forward(params, x, None)
 
 
 def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray):

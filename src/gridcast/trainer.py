@@ -34,6 +34,7 @@ from .tensor_nn import (
     pad_spatial,
     round_half_up_uint8,
     unet_backward_cached,
+    unet_forward,
     unet_forward_cached,
 )
 
@@ -145,12 +146,10 @@ def _stack_inputs(blocks: list[np.ndarray], cfg: UNetConfig) -> np.ndarray:
     return x
 
 
-def _batch_forward(params: UNetParams, x: np.ndarray):
-    """Forward on x zero-padded to the U-Net's multiple; returns (prediction
-    cropped back to x's grid, cache)."""
+def _batch_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
+    """Cache-free forward on x zero-padded to the U-Net's multiple, cropped back to x's grid."""
     xp, hw = pad_spatial(x, params.config.spatial_multiple)
-    out, cache = unet_forward_cached(params, xp)
-    return crop_spatial(out, hw), cache
+    return crop_spatial(unet_forward(params, xp), hw)
 
 
 def _loss_scale(cfg: UNetConfig) -> float:
@@ -165,15 +164,16 @@ def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGD
     cfg = state.params.config
     x = _stack_inputs([c.input for c in batch], cfg)
     y = _stack_inputs([c.target for c in batch], cfg)
-    pred, cache = _batch_forward(state.params, x)
-    loss, grad_pred = mse_loss(pred, y)
+    xp, hw = pad_spatial(x, cfg.spatial_multiple)
+    out, cache = unet_forward_cached(state.params, xp)
+    loss, grad_pred = mse_loss(crop_spatial(out, hw), y)
     if not math.isfinite(loss):
         raise NumericalError(
             f"non-finite training loss at epoch {state.epoch} step {state.step}"
         )
     # the gradient of a crop is a zero pad
     grad_out, _ = pad_spatial(grad_pred, cfg.spatial_multiple)
-    del x, y, pred, grad_pred  # the backward pass reads only the cache and grad_out
+    del x, xp, y, out, grad_pred  # the backward pass reads only the cache and grad_out
     grads, _ = unet_backward_cached(state.params, cache, grad_out)
     sgd_step(state, grads, lr, sgd_config.momentum, sgd_config.nesterov)
     return loss
@@ -237,7 +237,7 @@ def validation_losses(
         batch = clips[lo : lo + batch_size]
         x = _stack_inputs([c.input for c in batch], cfg)
         y = _stack_inputs([c.target for c in batch], cfg)
-        pred = _batch_forward(params, x)[0]
+        pred = _batch_forward(params, x)
         err = pred - y
         per_clip.extend(np.mean(err * err, axis=(1, 2, 3)).tolist())
     full = scale * float(np.mean(per_clip))
@@ -262,7 +262,7 @@ def predict(params: UNetParams, clip: Clip) -> np.ndarray:
             f"out_channels {cfg.out_channels} not divisible by {TARGET_FRAMES} frames"
         )
     x = _stack_inputs([clip.input], cfg)
-    out = _batch_forward(params, x)[0][0].astype(np.float64)  # (3*c, h, w)
+    out = _batch_forward(params, x)[0].astype(np.float64)  # (3*c, h, w)
     if cfg.normalize:
         out = out * 255.0 + 128.0
     return round_half_up_uint8(out.reshape(TARGET_FRAMES, -1, *out.shape[1:]))

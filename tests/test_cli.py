@@ -31,6 +31,30 @@ def test_ingest_inspect_roundtrip(tmp_path, capsys):
     assert np.array_equal(np.load(dump), raw)
 
 
+def test_inspect_dump_takes_its_path_as_given_and_a_failed_dump_keeps_the_earlier_one(
+    tmp_path, capsys, monkeypatch
+):
+    raw = synth_movie("random", 1, (4, 2, 3, 3))
+    npy = tmp_path / "raw.npy"
+    np.save(npy, raw)
+    movie = tmp_path / "m.tmm"
+    assert run("ingest", "--input", npy, "--city", "c", "--date", "d", "--out", movie) == 0
+    dump = tmp_path / "frames"
+    assert run("inspect", movie, "--dump", dump) == 0
+    assert np.array_equal(np.load(dump), raw) and not (tmp_path / "frames.npy").exists()
+    before = dump.read_bytes()
+
+    def failing_save(f, arr):
+        f.write(b"\x93NUMPY")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "save", failing_save)
+    assert run("inspect", movie, "--dump", dump) == 2
+    assert "disk full" in capsys.readouterr().err
+    assert dump.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["frames", "m.tmm", "raw.npy"]
+
+
 def test_ingest_rejects_wrong_shape(tmp_path, capsys):
     npy = tmp_path / "raw.npy"
     np.save(npy, np.zeros((3, 5, 5), dtype=np.uint8))
