@@ -1,9 +1,10 @@
 """Statistical predictors: per-slot averages, persistence, and a zero baseline.
 
 A slot-average model is the mean frame of each slot, rounded half-up to uint8.
-The sums over training days are exact 64-bit integers, so the model does not
-depend on the order of the days, and each mean is divided and rounded once,
-when the model is built.
+Each slot's sum over its n training days is an exact integer, so the model
+does not depend on the order of the days, and the mean is rounded once, in
+integers, when the model is built: ``(2 * sum + n) // (2 * n)``, which is
+``floor(sum / n + 1/2)``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import numpy as np
 
 from .dataset import Clip, ClipSpec, INPUT_FRAMES, TARGET_FRAMES
 from .movie_store import MovieReader, ingest, open_movie
-from .tensor_nn import round_half_up_uint8
 
 
 @dataclass
@@ -45,12 +45,17 @@ def time_slot_average(train_movies: list[MovieReader], slots) -> SlotAverageMode
     if missing:
         raise ValueError(f"slots with zero observations: {missing}")
     frames = np.empty((len(slots), *grid), np.uint8)
-    total = np.empty(grid, np.int64)
+    # 2 * sum + n <= 511 * n fits in uint32 for up to n = 8,405,024 days
+    total = np.empty(grid, np.uint32)
     for frame, slot in zip(frames, slots):
+        n = len(days[slot])
         total.fill(0)
         for m in days[slot]:
             total += m.read_frames(slot, 1)[0]
-        frame[...] = round_half_up_uint8(total / len(days[slot]))
+        total *= 2
+        total += n
+        total //= 2 * n
+        frame[...] = total
     return SlotAverageModel(dict(zip(slots, frames)))
 
 

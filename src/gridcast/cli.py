@@ -247,13 +247,16 @@ def _write_per_clip(args, what: str, make_frames) -> int:
 
     ``make_frames(stack, movies, specs)`` runs once before the loop and returns
     ``frames_of(spec, clip)``, which gives a clip's 3 frames; ``clip()`` loads
-    the clip from its movie.
+    the clip from its movie. ValueError, before ``--out`` is created, if the
+    selection has no clip.
     """
     out_dir = Path(args.out)
     with contextlib.ExitStack() as stack:
         movies = _open_movies(stack, Path(args.data))
         slots = dataset.read_slots(args.slots) if args.slots else None
         specs = dataset.enumerate_clips(movies, args.stride, slots)
+        if not specs:
+            raise ValueError(f"no clip of {args.data} matches --slots and --stride: no {what} to write")
         by_key = dataset.index_movies(movies)
         frames_of = make_frames(stack, movies, specs)
         out_dir.mkdir(parents=True, exist_ok=True)

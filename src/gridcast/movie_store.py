@@ -175,9 +175,12 @@ class MovieReader:
 
     def read_frames(self, t_start: int, count: int) -> np.ndarray:
         """Read ``count`` consecutive frames starting at ``t_start`` as a
-        read-only (count, c, h, w) uint8 array.
+        read-only (count, c, h, w) uint8 array that owns its data.
 
-        Touches only the bytes of the requested chunk range.
+        Touches only the bytes of the requested chunk range, which the file
+        reads straight into a fresh numpy buffer (numpy asks the kernel for
+        huge pages on large arrays, so a full-grid clip faults in a few pages,
+        not thousands). MovieFormatError if the file ends inside the range.
         """
         h = self.header
         if count < 1:
@@ -186,13 +189,14 @@ class MovieReader:
             raise ValueError(
                 f"frame range [{t_start}, {t_start + count}) outside [0, {h.t})"
             )
-        nbytes = count * h.frame_bytes
+        frames = np.empty((count, h.c, h.h, h.w), np.uint8)
         self._file.seek(self._data_offset + t_start * h.frame_bytes)
-        buf = self._file.read(nbytes)
-        self.payload_bytes_read += len(buf)
-        if len(buf) != nbytes:
+        got = self._file.readinto(frames)
+        self.payload_bytes_read += got
+        if got != frames.nbytes:
             raise MovieFormatError("short read inside payload")
-        return np.frombuffer(buf, dtype=np.uint8).reshape(count, h.c, h.h, h.w)
+        frames.flags.writeable = False
+        return frames
 
     def read_all(self) -> np.ndarray:
         return self.read_frames(0, self.header.t)

@@ -285,7 +285,12 @@ def evaluate(
     truths: list[np.ndarray],
     cities: list[str] | None = None,
 ) -> Metrics:
-    """Per-element MSE in double precision with per-frame/channel/city splits."""
+    """Per-element MSE of uint8 frames with per-frame/channel/city splits.
+
+    Squared errors are summed in exact integers (int64), so every mean is one
+    correctly rounded division and does not depend on the order of the clips.
+    ValueError on no clips, unequal counts or shapes, or non-uint8 frames.
+    """
     if len(predictions) != len(truths):
         raise ValueError("prediction and truth counts differ")
     if not predictions:
@@ -294,23 +299,28 @@ def evaluate(
         cities = [""] * len(predictions)
 
     frames, channels = predictions[0].shape[:2]
-    sq_sum = np.zeros((frames, channels))
-    n_sum = np.zeros((frames, channels))
-    city_sq: dict[str, float] = {}
-    city_n: dict[str, float] = {}
+    sq_sum = np.zeros((frames, channels), np.int64)
+    pixels = 0  # h * w summed over the clips
+    city_sq: dict[str, int] = {}
+    city_n: dict[str, int] = {}
     for pred, truth, city in zip(predictions, truths, cities):
         if pred.shape != truth.shape:
             raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
-        diff = pred.astype(np.float64) - truth.astype(np.float64)
-        sq = diff * diff
-        sq_sum += sq.sum(axis=(2, 3))
-        n_sum += sq.shape[2] * sq.shape[3]
-        city_sq[city] = city_sq.get(city, 0.0) + float(sq.sum())
-        city_n[city] = city_n.get(city, 0.0) + sq.size
+        if pred.shape[:2] != (frames, channels):
+            raise ValueError(f"(frames, channels) {pred.shape[:2]} differ from {(frames, channels)}")
+        if pred.dtype != np.uint8 or truth.dtype != np.uint8:
+            raise ValueError(f"expected uint8 frames, got {pred.dtype} and {truth.dtype}")
+        sq = np.subtract(pred, truth, dtype=np.int32)
+        sq *= sq
+        clip_sq = sq.sum(axis=(2, 3), dtype=np.int64)
+        sq_sum += clip_sq
+        pixels += sq.shape[2] * sq.shape[3]
+        city_sq[city] = city_sq.get(city, 0) + int(clip_sq.sum())
+        city_n[city] = city_n.get(city, 0) + sq.size
 
-    overall = float(sq_sum.sum() / n_sum.sum())
-    per_frame = (sq_sum.sum(axis=1) / n_sum.sum(axis=1)).tolist()
-    per_channel = (sq_sum.sum(axis=0) / n_sum.sum(axis=0)).tolist()
+    overall = float(sq_sum.sum() / (pixels * frames * channels))
+    per_frame = (sq_sum.sum(axis=1) / (pixels * channels)).tolist()
+    per_channel = (sq_sum.sum(axis=0) / (pixels * frames)).tolist()
     per_city = {c: city_sq[c] / city_n[c] for c in sorted(city_sq)}
     return Metrics(overall, per_frame, per_channel, per_city, len(predictions))
 

@@ -65,6 +65,28 @@ def test_matches_brute_force_oracle(store_days):
         assert np.array_equal(model.frames[s], brute)
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_integer_rounding_matches_float_half_up_for_every_residue(store_days, n):
+    # one pixel per possible sum 0..255*n, so every residue mod n and each
+    # .5 tie occurs; day i holds sum // n, plus 1 where i < sum % n
+    sums = np.arange(255 * n + 1)
+    days = [(sums // n + (i < sums % n)).astype(np.uint8).reshape(1, 1, 1, -1) for i in range(n)]
+    assert np.array_equal(np.sum(days, axis=0, dtype=np.int64)[0, 0, 0], sums)
+    model = time_slot_average(store_days(days), [0])
+    expected = np.floor(sums.astype(np.float64) / n + 0.5)
+    assert np.array_equal(model.frames[0][0, 0], expected)
+
+
+def test_integer_rounding_of_slots_that_only_some_days_reach(store_days):
+    rng = np.random.default_rng(11)
+    days = [rng.integers(0, 256, size=(t, 2, 6, 5), dtype=np.uint8) for t in (3, 7, 5, 7, 4)]
+    model = time_slot_average(store_days(days), range(7))
+    for s in range(7):
+        reached = [d[s] for d in days if s < len(d)]
+        total = np.sum(reached, axis=0, dtype=np.int64).astype(np.float64)
+        assert np.array_equal(model.frames[s], np.floor(total / len(reached) + 0.5)), s
+
+
 def test_day_permutation_invariance(store_days):
     rng = np.random.default_rng(8)
     days = [rng.integers(0, 256, size=(20, 2, 3, 3), dtype=np.uint8) for _ in range(4)]
@@ -91,7 +113,7 @@ def test_errors(store_days):
 
 
 def test_rejects_days_on_different_grids(store_days):
-    # int64 sums of a (3, 1, 4) and a (3, 4, 4) frame would broadcast to a wrong mean
+    # sums of a (3, 1, 4) and a (3, 4, 4) frame would broadcast to a wrong mean
     movies = store_days([np.full((20, 3, 4, 4), 10, np.uint8), np.full((20, 3, 1, 4), 30, np.uint8)])
     with pytest.raises(ValueError, match=r"grid \(c, h, w\) \(3, 1, 4\) differs from \(3, 4, 4\)"):
         time_slot_average(movies, [5])
@@ -118,7 +140,7 @@ def test_rejects_a_slot_no_day_reaches_before_reading_a_frame(store_days):
 
 def test_slot_average_peak_memory_below_one_int64_frame_per_slot(store_days):
     # an int64 sum per slot would be n_slots*c*h*w*8 bytes; the model itself
-    # is one uint8 frame per slot, summed through one reused int64 frame
+    # is one uint8 frame per slot, summed through one reused uint32 frame
     rng = np.random.default_rng(9)
     movies = store_days([rng.integers(0, 256, (48, 3, 64, 64), np.uint8) for _ in range(2)])
     tracemalloc.start()

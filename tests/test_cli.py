@@ -115,6 +115,27 @@ def test_baseline_zero_outputs_all_zero(pipeline_dirs, tmp_path):
             assert not m.read_all().any()
 
 
+@pytest.mark.parametrize(
+    "command",
+    [("predict",), ("targets",), ("baseline", "--kind", "persistence"),
+     ("baseline", "--kind", "zero"), ("baseline", "--kind", "slot_avg")],
+    ids=["predict", "targets", "persistence", "zero", "slot_avg"],
+)
+def test_a_selection_of_no_clip_exits_2_and_creates_no_out_dir(pipeline_dirs, tmp_path, capsys, monkeypatch, command):
+    data, _ = pipeline_dirs  # 48-frame days: first predicted slots 12..45
+    slots = tmp_path / "far.txt"
+    slots.write_text("3\n500\n")
+    cfg = tn.UNetConfig(depth=1, in_channels=36, out_channels=9, base_channels=2)
+    ckpt = tn.save_params(tn.init_params(cfg, 0), tmp_path / "a.unp")
+    ckpt_args = ("--ckpt", ckpt) if command[0] == "predict" else ()
+    monkeypatch.setattr(cli, "_check_channels", lambda *_: pytest.fail("make_frames ran"))
+    monkeypatch.setattr(cli.baselines, "time_slot_average", lambda *_: pytest.fail("make_frames ran"))
+    out = tmp_path / "out"
+    assert run(*command, *ckpt_args, "--data", data, "--slots", slots, "--out", out) == 2
+    assert "no clip of" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_slot_avg_baseline_matches_library(pipeline_dirs, tmp_path):
     from gridcast import baselines
     from gridcast.dataset import ClipSpec

@@ -129,6 +129,32 @@ def test_read_frames_locality_accounting(tmp_path):
         assert m.payload_bytes_read == 16 * 3 * 4 * 5
 
 
+def test_read_frames_and_read_all_return_read_only_arrays_that_own_their_data(tmp_path):
+    raw = np.random.default_rng(2).integers(0, 256, size=(20, 3, 5, 7), dtype=np.uint8)
+    with open_movie(make_movie(tmp_path, raw)) as m:
+        for frames, expected in ((m.read_frames(4, 15), raw[4:19]), (m.read_all(), raw)):
+            assert frames.flags.c_contiguous and frames.flags.owndata
+            assert not frames.flags.writeable
+            assert frames.dtype == np.uint8 and np.array_equal(frames, expected)
+
+
+def test_read_frames_from_a_file_truncated_after_open(tmp_path):
+    # 256 KiB frames: larger than the file buffer that the header read fills
+    raw = np.random.default_rng(3).integers(0, 256, size=(4, 2, 256, 512), dtype=np.uint8)
+    path = make_movie(tmp_path, raw)
+    frame_bytes = 2 * 256 * 512
+    with open_movie(path) as m:
+        with open(path, "r+b") as f:
+            f.truncate(m.header.size + frame_bytes + 7)
+        assert np.array_equal(m.read_frames(0, 1), raw[:1])
+        with pytest.raises(MovieFormatError, match="short read"):
+            m.read_frames(1, 2)
+        assert m.payload_bytes_read == frame_bytes + 7  # the 1st frame, then the 7 bytes left
+        with pytest.raises(MovieFormatError, match="short read"):
+            m.read_all()
+        assert m.payload_bytes_read == 2 * frame_bytes + 14
+
+
 def test_read_frames_out_of_range(tmp_path):
     raw = np.zeros((288, 1, 2, 2), dtype=np.uint8)
     with open_movie(make_movie(tmp_path, raw)) as m:

@@ -259,6 +259,40 @@ def test_evaluate_per_city_split():
     assert m.clips == 2
 
 
+def test_evaluate_equals_a_float64_oracle_exactly():
+    rng = np.random.default_rng(5)
+    grids = [(7, 9), (7, 9), (4, 11), (7, 9), (4, 11)]
+    preds = [rng.integers(0, 256, size=(3, 3, *g), dtype=np.uint8) for g in grids]
+    truths = [rng.integers(0, 256, size=(3, 3, *g), dtype=np.uint8) for g in grids]
+    cities = ["y", "x", "y", "y", "x"]
+    m = evaluate(preds, truths, cities)
+    sq = [(p.astype(np.float64) - t.astype(np.float64)) ** 2 for p, t in zip(preds, truths)]
+
+    def mse(parts):
+        return sum(p.sum() for p in parts) / sum(p.size for p in parts)
+
+    assert m.overall == mse(sq)
+    assert m.per_frame == [mse([s[j] for s in sq]) for j in range(3)]
+    assert m.per_channel == [mse([s[:, k] for s in sq]) for k in range(3)]
+    assert m.per_city == {c: mse([s for s, sc in zip(sq, cities) if sc == c]) for c in ("x", "y")}
+    assert list(m.per_city) == ["x", "y"]
+
+
+def test_evaluate_rejects_frames_that_are_not_uint8():
+    a = np.zeros((3, 3, 2, 2), dtype=np.uint8)
+    with pytest.raises(ValueError, match="uint8.*float64"):
+        evaluate([a.astype(np.float64)], [a.astype(np.float64)])
+    with pytest.raises(ValueError, match="uint8.*int16"):
+        evaluate([a], [a.astype(np.int16)])
+
+
+def test_evaluate_rejects_clips_of_other_frames_or_channels():
+    # a (3, 1) clip's sums would broadcast over the first clip's 3 channels
+    a, b = np.zeros((3, 3, 2, 2), np.uint8), np.ones((3, 1, 2, 2), np.uint8)
+    with pytest.raises(ValueError, match=r"\(frames, channels\) \(3, 1\) differ from \(3, 3\)"):
+        evaluate([a, b], [a, np.zeros_like(b)])
+
+
 def test_evaluate_rejects_mismatch():
     with pytest.raises(ValueError):
         evaluate([np.zeros((3, 3, 2, 2))], [np.zeros((3, 3, 2, 3))])
