@@ -154,7 +154,8 @@ class MovieReader:
 
     def __init__(self, path: str | Path):
         self._path = Path(path)
-        self._file = open(self._path, "rb")
+        # unbuffered: a payload byte never comes from a buffer that an earlier read filled
+        self._file = open(self._path, "rb", buffering=0)
         self.payload_bytes_read = 0
         try:
             self.header = _read_header(self._file)
@@ -190,8 +191,14 @@ class MovieReader:
                 f"frame range [{t_start}, {t_start + count}) outside [0, {h.t})"
             )
         frames = np.empty((count, h.c, h.h, h.w), np.uint8)
+        view = frames.reshape(-1).data
         self._file.seek(self._data_offset + t_start * h.frame_bytes)
-        got = self._file.readinto(frames)
+        got = 0
+        while got < len(view):  # a raw read may return less than asked before EOF
+            n = self._file.readinto(view[got:])
+            if not n:
+                break
+            got += n
         self.payload_bytes_read += got
         if got != frames.nbytes:
             raise MovieFormatError("short read inside payload")

@@ -5,10 +5,12 @@ forward/backward pairs whose gradients are exact (validated against central
 finite differences in float64). Conventions:
 
   * convolutions are cross-correlations with zero same-padding, stride 1,
-    odd kernel sizes, computed as one im2col matrix product per band of flat
-    positions of the whole padded batch; results are bit-reproducible for fixed
-    array shapes, band budget (``_BAND_ELEMENTS``) and BLAS thread count, but
-    the summation order inside each product is BLAS's own
+    odd kernel sizes, computed per band of flat positions of the whole padded
+    batch from the kh row shifts of its input: one matrix product puts the kw
+    column taps in its output rows, and kw-1 shifted adds sum them; results
+    are bit-reproducible for fixed array shapes, band budget
+    (``_BAND_ELEMENTS``) and BLAS thread count, but the summation order inside
+    each product is BLAS's own
   * max-pooling is 2x2 stride 2 and a NaN in a window makes its max NaN; the
     gradient goes to the window's first row-major element equal to its max
   * up-convolutions are 2x2 stride-2 transposed convolutions (each output
@@ -45,9 +47,10 @@ from .movie_store import _atomic_write
 # ---------------------------------------------------------------------------
 # kernels
 
-# Elements of one im2col band, (ci*kh*kw) x positions: 4 MB of float32 keep the column buffer small
-# beside the activations, and a desk batch within two bands. 2**22 (16 MB) saved no time beyond the
-# run-to-run spread and raised peak RSS 9 % at desk scale and 11 % at 496x448 (78->86, 388->430 MB).
+# Elements of a conv band's larger buffer, max(ci*kh row shifts, co*kw GEMM output rows) x positions:
+# 4 MB of float32 keep the band buffers small beside the activations, and a desk batch within two
+# bands. 2**22 (16 MB) saved no time beyond the run-to-run spread and raised peak RSS 9 % at desk
+# scale and 11 % at 496x448 (78->86, 388->430 MB), measured on 9-tap column buffers.
 _BAND_ELEMENTS = 2**20
 
 # (dy, dx) of the four 2x2 pooling-window elements in row-major order.
@@ -63,34 +66,49 @@ def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     return xp.reshape(ci, -1)
 
 
-def _tap_bands(xpf: np.ndarray, kh: int, kw: int, w: int):
-    """Yield (b0, b1, cols) over bands of the flat output positions of ``_pad_flat``'s
-    ``xpf``. Position p reads ``xpf[:, p + dy*W + dx]`` for tap (dy, dx), so each
-    tap is one slice, also where a band crosses into the next image; the columns
-    of padding positions are computed, then cropped. ``cols`` is (ci*kh*kw, b1-b0),
-    rows ordered like ``k.reshape(co, -1)``, and the next band overwrites it."""
+def _row_bands(xpf: np.ndarray, kh: int, kw: int, w: int, co: int):
+    """Yield (b0, b1, rows, taps) over bands of the flat output positions of
+    ``_pad_flat``'s ``xpf``, for a kernel with ``co`` outputs. Position p reads
+    ``xpf[:, p + dy*W + dx]`` for tap (dy, dx), so a band needs only its kh row
+    shifts: ``rows`` is (ci*kh, b1-b0+kw-1) with ``rows[c*kh + dy, q] = xpf[c, b0 + dy*W + q]``,
+    and tap (dy, dx) of position b0+j is ``rows[:, j + dx]``. ``taps`` is an
+    uninitialized (co*kw, b1-b0+kw-1) buffer for the band's GEMM with the column
+    taps in M. Bands cross into the next image; the columns of padding positions
+    are computed, then cropped. The next band overwrites both buffers."""
     ci, size = xpf.shape
     W = w + kw - 1
     span = size - (kh - 1) * W - (kw - 1)  # one past the last output position
-    band = max(1, _BAND_ELEMENTS // (ci * kh * kw))
-    buf = np.empty((ci, kh * kw, min(band, span)), dtype=xpf.dtype)
+    band = max(1, _BAND_ELEMENTS // max(ci * kh, co * kw))
+    row_buf = np.empty(ci * kh * (min(band, span) + kw - 1), dtype=xpf.dtype)
+    tap_buf = np.empty(co * kw * (min(band, span) + kw - 1), dtype=xpf.dtype)
     for b0 in range(0, span, band):
         b1 = min(span, b0 + band)
-        cols = buf[:, :, : b1 - b0]
-        for t, off in enumerate(dy * W + dx for dy in range(kh) for dx in range(kw)):
-            cols[:, t] = xpf[:, b0 + off : b1 + off]
-        yield b0, b1, cols.reshape(-1, b1 - b0)
+        q = b1 - b0 + kw - 1
+        rows = row_buf[: ci * kh * q].reshape(ci, kh, q)
+        for dy in range(kh):
+            rows[:, dy] = xpf[:, b0 + dy * W : b1 + dy * W + kw - 1]
+        yield b0, b1, rows.reshape(ci * kh, q), tap_buf[: co * kw * q].reshape(co * kw, q)
 
 
 def _correlate(xpf: np.ndarray, k: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
     """Same-padded stride-1 cross-correlation without bias of the (n, ci, h, w)
-    batch that ``_pad_flat`` made into ``xpf``, one GEMM per band, into a
-    (co, n, H, W) buffer of all flat positions; ``_unpad_flat`` crops it."""
-    co, _, kh, kw = k.shape
-    k2 = k.reshape(co, -1)
+    batch that ``_pad_flat`` made into ``xpf``, into a (co, n, H, W) buffer of all
+    flat positions; ``_unpad_flat`` crops it. One GEMM per band puts the column
+    taps in M, ``P[(o, dx), q] = sum over (c, dy) of k[o, c, dy, dx] * rows[(c, dy), q]``,
+    and position b0+j sums ``P[(o, dx), j + dx]`` over dx."""
+    co, ci, kh, kw = k.shape
+    k2 = k.transpose(0, 3, 1, 2).reshape(co * kw, ci * kh)
     out = np.empty((co, n, h + kh - 1, w + kw - 1), dtype=xpf.dtype)
-    for b0, b1, cols in _tap_bands(xpf, kh, kw, w):
-        np.matmul(k2, cols, out=out.reshape(co, -1)[:, b0:b1])
+    flat = out.reshape(co, -1)
+    for b0, b1, rows, taps in _row_bands(xpf, kh, kw, w, co):
+        if kw == 1:
+            np.matmul(k2, rows, out=flat[:, b0:b1])
+            continue
+        m = b1 - b0
+        p = np.matmul(k2, rows, out=taps).reshape(co, kw, -1)
+        acc = np.add(p[:, 0, :m], p[:, 1, 1 : m + 1], out=flat[:, b0:b1])
+        for dx in range(2, kw):
+            acc += p[:, dx, dx : dx + m]
     return out
 
 
@@ -114,8 +132,9 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray
     return out
 
 
-def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
-    """Gradients of sum(grad_out * conv2d_forward(x, k, b)) w.r.t. x, k, b."""
+def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input_grad: bool = True):
+    """Gradients of sum(grad_out * conv2d_forward(x, k, b)) w.r.t. x, k, b; the
+    gradient w.r.t. x is None when ``input_grad`` is false."""
     n, ci, h, w = x.shape
     co, _, kh, kw = k.shape
     if grad_out.shape != (n, co, h, w):
@@ -123,16 +142,27 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     xpf = _pad_flat(x, kh, kw)
     gpf = _pad_flat(grad_out, kh, kw)
     shift = (kh // 2) * (w + kw - 1) + kw // 2  # gpf[:, p + shift]: grad_out at p, 0 if cropped
-    grad_k = np.zeros((co, ci * kh * kw), dtype=k.dtype)
-    for b0, b1, cols in _tap_bands(xpf, kh, kw, w):
-        grad_k += gpf[:, b0 + shift : b1 + shift] @ cols.T
-    del xpf, cols  # grad_x's buffers need not sit on top of the padded input
+    # grad_k[(o, dx), (c, dy)] sums grad_out at b0+j times rows[(c, dy), j + dx]: one
+    # GEMM per band against grad_out copied kw times, shifted by dx, zero where j is
+    # outside the band
+    grad_k = np.zeros((co * kw, ci * kh), dtype=k.dtype)
+    for b0, b1, rows, taps in _row_bands(xpf, kh, kw, w, co):
+        m = b1 - b0
+        g = taps.reshape(co, kw, -1)
+        for dx in range(kw):
+            g[:, dx, :dx] = 0
+            g[:, dx, dx : dx + m] = gpf[:, b0 + shift : b1 + shift]
+            g[:, dx, dx + m :] = 0
+        grad_k += taps @ rows.T
+    del xpf, rows, taps, g  # grad_x's buffers need not sit on top of the padded input
+    grad_k = grad_k.reshape(co, kw, ci, kh).transpose(0, 2, 3, 1).copy()
+    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    if not input_grad:
+        return None, grad_k, grad_bias
     # the input gradient correlates grad_out with the flipped, transposed kernel
     grad_x = _correlate(gpf, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), n, h, w)
     del gpf  # the cropped copy need not sit on top of the padded grad_out
-    grad_x = _unpad_flat(grad_x, h, w)
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, grad_k.reshape(k.shape), grad_bias
+    return _unpad_flat(grad_x, h, w), grad_k, grad_bias
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
@@ -408,9 +438,10 @@ def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, x, None)
 
 
-def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray):
+def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray, *, input_grad: bool = True):
     """Run ``_layers`` in reverse over the forward cache; returns (parameter
-    gradients in canonical order, input gradient).
+    gradients in canonical order, input gradient). With ``input_grad`` false the
+    first conv skips its input gradient and None is returned in its place.
 
     Each entry is popped off ``cache`` as its layer runs, so an activation is
     freed once no later step reads it and ``cache`` ends up empty."""
@@ -418,10 +449,12 @@ def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray):
     grads: dict[str, np.ndarray] = {}
     skip_grads = []  # concat pushes the skip's share of the gradient, skip adds it back
     g = grad_out
-    for kind, name, _ in reversed(_layers(params.config)):
+    for i, (kind, name, _) in reversed(list(enumerate(_layers(params.config)))):
         entry = cache.pop()
         if kind == "conv":
-            g, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(entry, t[f"{name}.w"], g)
+            g, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(
+                entry, t[f"{name}.w"], g, input_grad=input_grad or i > 0
+            )
         elif kind == "up":
             g, grads[f"{name}.w"], grads[f"{name}.b"] = upconv2d_backward(entry, t[f"{name}.w"], g)
         elif kind == "relu":

@@ -174,7 +174,7 @@ def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGD
     # the gradient of a crop is a zero pad
     grad_out, _ = pad_spatial(grad_pred, cfg.spatial_multiple)
     del x, xp, y, out, grad_pred  # the backward pass reads only the cache and grad_out
-    grads, _ = unet_backward_cached(state.params, cache, grad_out)
+    grads, _ = unet_backward_cached(state.params, cache, grad_out, input_grad=False)
     sgd_step(state, grads, lr, sgd_config.momentum, sgd_config.nesterov)
     return loss
 

@@ -1,3 +1,4 @@
+import math
 import struct
 
 import numpy as np
@@ -139,20 +140,24 @@ def test_read_frames_and_read_all_return_read_only_arrays_that_own_their_data(tm
 
 
 def test_read_frames_from_a_file_truncated_after_open(tmp_path):
-    # 256 KiB frames: larger than the file buffer that the header read fills
-    raw = np.random.default_rng(3).integers(0, 256, size=(4, 2, 256, 512), dtype=np.uint8)
-    path = make_movie(tmp_path, raw)
-    frame_bytes = 2 * 256 * 512
-    with open_movie(path) as m:
-        with open(path, "r+b") as f:
-            f.truncate(m.header.size + frame_bytes + 7)
-        assert np.array_equal(m.read_frames(0, 1), raw[:1])
-        with pytest.raises(MovieFormatError, match="short read"):
-            m.read_frames(1, 2)
-        assert m.payload_bytes_read == frame_bytes + 7  # the 1st frame, then the 7 bytes left
-        with pytest.raises(MovieFormatError, match="short read"):
-            m.read_all()
-        assert m.payload_bytes_read == 2 * frame_bytes + 14
+    # 256 KiB frames are larger than a default file buffer; a whole 30-byte-frame
+    # movie fits in one, so a buffered header read would also have read its payload
+    for i, frame_shape in enumerate([(2, 256, 512), (1, 5, 6)]):
+        raw = np.random.default_rng(3).integers(0, 256, size=(4, *frame_shape), dtype=np.uint8)
+        path = make_movie(tmp_path, raw, name=f"m{i}.tmm")
+        frame_bytes = math.prod(frame_shape)
+        with open_movie(path) as m:
+            with open(path, "r+b") as f:
+                f.truncate(m.header.size + frame_bytes + 7)
+            assert np.array_equal(m.read_frames(0, 1), raw[:1])
+            with pytest.raises(MovieFormatError, match="short read"):
+                m.read_frames(1, 2)
+            assert m.payload_bytes_read == frame_bytes + 7  # the 1st frame, then the 7 bytes left
+            with pytest.raises(MovieFormatError, match="short read"):
+                m.read_frames(2, 2)
+            with pytest.raises(MovieFormatError, match="short read"):
+                m.read_all()
+            assert m.payload_bytes_read == 2 * frame_bytes + 14
 
 
 def test_read_frames_out_of_range(tmp_path):

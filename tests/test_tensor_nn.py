@@ -295,6 +295,28 @@ def test_unet_grad_shapes_mirror_params():
     assert gx.shape == x.shape
 
 
+def test_unet_backward_without_input_grad_skips_only_the_first_conv(monkeypatch):
+    params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
+    x = np.random.default_rng(3).normal(size=(2, 4, 8, 8))
+    go = np.random.default_rng(4).normal(size=(2, 2, 8, 8))
+    grads, _ = tn.unet_backward(params, x, go)
+    skipped = []
+    conv2d_backward = tn.conv2d_backward
+
+    def spy(*args, input_grad=True):
+        skipped.append(not input_grad)
+        return conv2d_backward(*args, input_grad=input_grad)
+
+    monkeypatch.setattr(tn, "conv2d_backward", spy)  # the module global, as a tracer wraps it
+    _, cache = tn.unet_forward_cached(params, x)
+    lean, gx = tn.unet_backward_cached(params, cache, go, input_grad=False)
+    assert gx is None
+    assert skipped[-1] and not any(skipped[:-1])  # only enc0.conv1, which runs last
+    assert all(np.array_equal(lean[name], grads[name]) for name in grads)
+    k = params.tensors["enc0.conv1.w"]
+    assert conv2d_backward(x, k, np.ones((2, 3, 8, 8)), input_grad=False)[0] is None
+
+
 def test_unet_backward_finite_difference():
     cfg = tn.UNetConfig(depth=2, in_channels=2, out_channels=1, base_channels=3)
     params = tn.init_params(cfg, seed=7, dtype=np.float64)
@@ -566,17 +588,18 @@ def assert_conv_matches_naive(x, k, rng):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-11)
 
 
-@pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (1, 3), (5, 3)])
+@pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (1, 3), (5, 3), (3, 1)])
 def test_conv_matches_direct_loops(kh, kw):
     rng = np.random.default_rng(kh * 10 + kw)
-    assert_conv_matches_naive(rng.normal(size=(2, 3, 6, 7)), rng.normal(size=(4, 3, kh, kw)), rng)
+    for ci, co in ((3, 4), (3, 6), (5, 2)):  # co > ci, co = 2*ci and co < ci
+        assert_conv_matches_naive(rng.normal(size=(2, ci, 6, 7)), rng.normal(size=(co, ci, kh, kw)), rng)
 
 
 def test_conv_matches_direct_loops_across_row_bands():
     rng = np.random.default_rng(8)
     x = rng.normal(size=(1, 64, 17, 1000))
     k = rng.normal(size=(2, 64, 3, 3))
-    band = tn._BAND_ELEMENTS // (64 * 9)
+    band = tn._BAND_ELEMENTS // max(64 * 3, 2 * 3)
     span = 17 * 1002 - 2  # flat output positions of the image padded to 19x1002
     assert 1 <= band < span and span % band  # several bands, the last one short
     assert_conv_matches_naive(x, k, rng)
@@ -586,10 +609,10 @@ def test_conv_matches_direct_loops_across_row_bands():
 def test_conv_matches_direct_loops_with_bands_across_images(kh, kw, monkeypatch):
     rng = np.random.default_rng(20 + kh * 10 + kw)
     n, ci, h, w = 3, 2, 5, 6
-    monkeypatch.setattr(tn, "_BAND_ELEMENTS", ci * kh * kw * 37)  # 37 positions per band
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", max(ci * kh, ci * kw) * 37)  # 37 positions per band
     x = rng.normal(size=(n, ci, h, w))
     image = (h + kh - 1) * (w + kw - 1)  # flat positions of one padded image
-    bands = [(b0, b1) for b0, b1, _ in tn._tap_bands(tn._pad_flat(x, kh, kw), kh, kw, w)]
+    bands = [(b0, b1) for b0, b1, _, _ in tn._row_bands(tn._pad_flat(x, kh, kw), kh, kw, w, ci)]
     assert any(b0 // image < (b1 - 1) // image for b0, b1 in bands)  # a band spans two images
     assert_conv_matches_naive(x, rng.normal(size=(ci, ci, kh, kw)), rng)
 
