@@ -15,7 +15,7 @@ finite differences in float64). Conventions:
     gradient goes to the window's first row-major element equal to its max
   * up-convolutions are 2x2 stride-2 transposed convolutions (each output
     pixel receives exactly one kernel tap), computed as one matrix product
-    for all four taps followed by a pixel shuffle
+    for all four taps, each then written with its bias to its strided pixels
   * arrays keep their dtype end to end: float32 for training, float64 for
     gradient checking
 
@@ -29,7 +29,9 @@ the init draw order and the checkpoint tensor order are all read from it.
 
 Only ``unet_forward_cached`` keeps a backward cache, holding each activation once:
 a ReLU caches its output, the very array the next conv, up-conv or pool caches as
-its input, and the backward pass pops each entry once its layer is done.
+its input, and the backward pass pops each entry once its layer is done. A skip
+is held only inside the concat that copies it: from the concat on, the skip's
+ReLU and pool entries are one view of the concat's first channels.
 """
 
 from __future__ import annotations
@@ -59,8 +61,11 @@ _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
     """Same-pad (n, ci, h, w) ``x`` for an odd (kh, kw) kernel into one zeroed,
-    channel-major (ci, n*H*W) copy, H = h+kh-1 and W = w+kw-1."""
+    channel-major (ci, n*H*W) copy, H = h+kh-1 and W = w+kw-1. A 1x1 kernel
+    needs no padding: then it is a view of ``x`` where the layout allows (n == 1)."""
     n, ci, h, w = x.shape
+    if kh == kw == 1:
+        return x.transpose(1, 0, 2, 3).reshape(ci, -1)
     xp = np.zeros((ci, n, h + kh - 1, w + kw - 1), dtype=x.dtype)
     xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x.transpose(1, 0, 2, 3)
     return xp.reshape(ci, -1)
@@ -113,8 +118,9 @@ def _correlate(xpf: np.ndarray, k: np.ndarray, n: int, h: int, w: int) -> np.nda
 
 
 def _unpad_flat(out: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Copy the (n, co, h, w) output out of ``_correlate``'s (co, n, H, W) buffer."""
-    return out[:, :, :h, :w].transpose(1, 0, 2, 3).copy()
+    """The contiguous (n, co, h, w) output in ``_correlate``'s (co, n, H, W) buffer:
+    a copy unless no crop or transpose is needed (1x1 kernel, n == 1)."""
+    return np.ascontiguousarray(out[:, :, :h, :w].transpose(1, 0, 2, 3))
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -211,13 +217,11 @@ def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarr
     if bias.shape != (co,):
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
     # one (4co, ci) GEMM gives every tap; row o*4 + dy*2 + dx lands at (2y+dy, 2x+dx)
-    taps = k.reshape(ci, 4 * co).T @ x.reshape(n, ci, h * w)
-    out = (
-        taps.reshape(n, co, 2, 2, h, w)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, co, 2 * h, 2 * w)
-    )
-    out += bias[None, :, None, None]
+    taps = (k.reshape(ci, 4 * co).T @ x.reshape(n, ci, h * w)).reshape(n, co, 2, 2, h, w)
+    out = np.empty((n, co, 2 * h, 2 * w), dtype=taps.dtype)
+    out6 = out.reshape(n, co, h, 2, w, 2)
+    for dy, dx in _WINDOW:  # tap plus bias, written straight to its output pixels
+        np.add(taps[:, :, dy, dx], bias[:, None, None], out=out6[:, :, :, dy, :, dx])
     return out
 
 
@@ -275,7 +279,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     diff = pred - target
     loss = float(np.mean(diff * diff))
-    return loss, 2.0 * diff / diff.size
+    diff *= 2.0  # in place, rounding as 2.0 * diff / diff.size does
+    diff /= diff.size
+    return loss, diff
 
 
 def clamp_255(x: np.ndarray) -> np.ndarray:
@@ -403,8 +409,8 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
     if h % m or w % m:
         raise ValueError(f"spatial dims {h}x{w} not divisible by {m}")
     t = params.tensors
-    skips = []
-    for kind, name, _ in _layers(cfg):
+    skips = []  # (activation, index of its skip layer and cache entry)
+    for i, (kind, name, _) in enumerate(_layers(cfg)):
         entry = x
         if kind == "conv":
             x = conv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"])
@@ -415,11 +421,17 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
         elif kind == "pool":
             x = maxpool2d_forward(x)
         elif kind == "skip":
-            skips.append(x)
+            skips.append((x, i))
             entry = None
-        else:  # concat; no local name holds the skip once it is concatenated
-            entry = skips[-1].shape[1]
-            x = concat_channels(skips.pop(), x)
+        else:  # concat
+            skip, at = skips.pop()
+            entry = skip.shape[1]
+            x = concat_channels(skip, x)
+            del skip
+            if cache is not None:
+                # the skip's ReLU and pool entries (one object) become a view of its copy
+                # in the concat, so the skip's own array is freed and held only there
+                cache[at - 1] = cache[at + 1] = x[:, :entry]
         if cache is not None:
             cache.append(entry)
     return x
@@ -428,7 +440,9 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
 def unet_forward_cached(params: UNetParams, x: np.ndarray):
     """Forward pass returning (output, cache), one cache entry per layer of ``_layers``:
     the input of conv/up/pool, the output of relu (the array the next layer caches,
-    so it is held once), the skip's channel count for concat, and None for skip."""
+    so it is held once), the skip's channel count for concat, and None for skip.
+    A skip's ReLU and pool entries are one view of its channels in the concat, which
+    the next conv caches as its input, so the skip's bytes are held once too."""
     cache = []
     return _forward(params, x, cache), cache
 

@@ -132,24 +132,32 @@ def new_state(unet_config: UNetConfig, sgd_config: SGDConfig) -> TrainState:
     )
 
 
-def _stack_inputs(blocks: list[np.ndarray], cfg: UNetConfig) -> np.ndarray:
+def _stack_inputs(blocks: list[np.ndarray], cfg: UNetConfig, multiple: int = 1) -> np.ndarray:
     """Collapse (t, c, h, w) blocks frame-major, channel-minor and stack them
-    into one float32 (n, t*c, h, w) batch.
+    into one float32 (n, t*c, H, W) batch, zero-padded bottom/right so that H
+    and W are multiples of ``multiple``; the values are written straight into it.
 
     With cfg.normalize the 0-255 values are centered and scaled to
-    (v - 128) / 255; otherwise they are fed raw.
+    (v - 128) / 255; otherwise they are fed raw. Padding stays 0 either way.
     """
-    x = np.stack([b.reshape(-1, *b.shape[2:]) for b in blocks]).astype(np.float32)
+    t, c, h, w = blocks[0].shape
+    x = np.empty((len(blocks), t * c, h + (-h) % multiple, w + (-w) % multiple), np.float32)
+    x[:, :, h:] = 0
+    x[:, :, :h, w:] = 0
+    values = x[:, :, :h, :w]
+    for dst, b in zip(values, blocks):
+        dst[...] = b.reshape(t * c, h, w)
     if cfg.normalize:
-        x -= 128.0
-        x /= 255.0
+        values -= 128.0
+        values /= 255.0
     return x
 
 
-def _batch_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
-    """Cache-free forward on x zero-padded to the U-Net's multiple, cropped back to x's grid."""
-    xp, hw = pad_spatial(x, params.config.spatial_multiple)
-    return crop_spatial(unet_forward(params, xp), hw)
+def _batch_forward(params: UNetParams, blocks: list[np.ndarray]) -> np.ndarray:
+    """Cache-free forward on the stacked input ``blocks``, zero-padded to the
+    U-Net's multiple and cropped back to their grid."""
+    x = _stack_inputs(blocks, params.config, params.config.spatial_multiple)
+    return crop_spatial(unet_forward(params, x), blocks[0].shape[-2:])
 
 
 def _loss_scale(cfg: UNetConfig) -> float:
@@ -159,21 +167,25 @@ def _loss_scale(cfg: UNetConfig) -> float:
 
 def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGDConfig) -> float:
     """Forward, backward and SGD update on one batch; returns its loss. The
-    stacked arrays, prediction, cache and gradients all die when it returns,
-    so none of them is held while validation runs."""
+    input is stacked straight into its padded array, which the cache then holds
+    as the only copy; the targets are stacked only after the forward, and the
+    loss gradient reuses the difference's buffer. The prediction, cache and
+    gradients all die when it returns, so none of them is held while
+    validation runs."""
     cfg = state.params.config
-    x = _stack_inputs([c.input for c in batch], cfg)
+    out, cache = unet_forward_cached(
+        state.params, _stack_inputs([c.input for c in batch], cfg, cfg.spatial_multiple)
+    )
     y = _stack_inputs([c.target for c in batch], cfg)
-    xp, hw = pad_spatial(x, cfg.spatial_multiple)
-    out, cache = unet_forward_cached(state.params, xp)
-    loss, grad_pred = mse_loss(crop_spatial(out, hw), y)
+    loss, grad_pred = mse_loss(crop_spatial(out, y.shape[-2:]), y)
+    del out, y  # the backward pass reads only the cache and grad_out
     if not math.isfinite(loss):
         raise NumericalError(
             f"non-finite training loss at epoch {state.epoch} step {state.step}"
         )
     # the gradient of a crop is a zero pad
     grad_out, _ = pad_spatial(grad_pred, cfg.spatial_multiple)
-    del x, xp, y, out, grad_pred  # the backward pass reads only the cache and grad_out
+    del grad_pred
     grads, _ = unet_backward_cached(state.params, cache, grad_out, input_grad=False)
     sgd_step(state, grads, lr, sgd_config.momentum, sgd_config.nesterov)
     return loss
@@ -235,9 +247,8 @@ def validation_losses(
     per_clip = []
     for lo in range(0, len(clips), batch_size):
         batch = clips[lo : lo + batch_size]
-        x = _stack_inputs([c.input for c in batch], cfg)
+        pred = _batch_forward(params, [c.input for c in batch])
         y = _stack_inputs([c.target for c in batch], cfg)
-        pred = _batch_forward(params, x)
         err = pred - y
         per_clip.extend(np.mean(err * err, axis=(1, 2, 3)).tolist())
     full = scale * float(np.mean(per_clip))
@@ -255,14 +266,17 @@ def validation_losses(
 
 
 def predict(params: UNetParams, clip: Clip) -> np.ndarray:
-    """Predict the 3 target frames of a clip as clamped, rounded uint8."""
+    """Predict the 3 target frames of a clip as clamped, rounded uint8.
+    NumericalError if the network output is not finite: it has no rounding."""
     cfg = params.config
     if cfg.out_channels % TARGET_FRAMES:
         raise ValueError(
             f"out_channels {cfg.out_channels} not divisible by {TARGET_FRAMES} frames"
         )
-    x = _stack_inputs([clip.input], cfg)
-    out = _batch_forward(params, x)[0].astype(np.float64)  # (3*c, h, w)
+    out = _batch_forward(params, [clip.input])[0].astype(np.float64)  # (3*c, h, w)
+    if not math.isfinite(out.sum()):  # float32 values overflow no float64 sum
+        bad = np.count_nonzero(~np.isfinite(out))
+        raise NumericalError(f"{bad} of {out.size} predicted values are not finite")
     if cfg.normalize:
         out = out * 255.0 + 128.0
     return round_half_up_uint8(out.reshape(TARGET_FRAMES, -1, *out.shape[1:]))

@@ -382,6 +382,19 @@ def test_train_numerical_failure_exit_code(pipeline_dirs, tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_predict_non_finite_output_exit_code(pipeline_dirs, tmp_path, capsys):
+    data, slots = pipeline_dirs
+    params = tn.init_params(tn.UNetConfig(depth=2, in_channels=36, out_channels=9, base_channels=4), 0)
+    for t in params.tensors.values():
+        t[...] = np.where(np.signbit(t), -3e38, 3e38)  # finite weights whose products overflow
+    ckpt = tn.save_params(params, tmp_path / "hot.unp")
+    out = tmp_path / "pred"
+    assert run("predict", "--ckpt", ckpt, "--data", data, "--slots", slots, "--out", out) == 3
+    assert "numerical failure: 576 of 576 predicted values are not finite" in capsys.readouterr().err
+    assert not list(out.glob("*"))
+
+
 @pytest.mark.parametrize("side", ["pred", "truth"])
 def test_evaluate_rejects_partial_file_sets(pipeline_dirs, tmp_path, capsys, side):
     data, slots = pipeline_dirs

@@ -226,6 +226,18 @@ def test_mse_loss_values():
     assert max_rel_err(grad, numeric_grad(lambda: tn.mse_loss(p, t)[0], p)) < 1e-5
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(7,), (2, 9, 31, 29), (1, 9, 495, 436)])
+def test_mse_loss_gradient_rounds_as_the_textbook_expression(dtype, shape):
+    rng = np.random.default_rng(len(shape))
+    p = rng.normal(0, 300, size=shape).astype(dtype)
+    t = rng.normal(0, 300, size=shape).astype(dtype)
+    diff = p - t
+    _, grad = tn.mse_loss(p, t)
+    assert grad.dtype == dtype
+    assert np.array_equal(grad, 2.0 * diff / diff.size)
+
+
 def test_clamp_255():
     assert tn.clamp_255(np.array([-3.0, 300.0, 128.0])).tolist() == [0.0, 255.0, 128.0]
     assert tn.round_half_up_uint8(np.array([19.5, -3.0, 300.0])).tolist() == [20, 0, 255]
@@ -356,6 +368,43 @@ def test_unet_cache_holds_each_activation_once_and_backward_empties_it():
             assert layers[i - 2][0] == "relu" and cache[i] is cache[i - 2], i
     tn.unet_backward_cached(params, cache, np.ones((2, 2, 8, 8)))
     assert cache == []
+
+
+def _owned_bytes(arrays):
+    """Bytes of the distinct buffers that own ``arrays``, each counted once."""
+    roots = {}
+    for a in arrays:
+        while a.base is not None:
+            a = a.base
+        roots[id(a)] = a.nbytes
+    return sum(roots.values())
+
+
+def cache_bytes(cfg, n, h, w, itemsize):
+    """Bytes of a backward cache holding each activation once: the input, each
+    level's first ReLU, the bottom level's second ReLU, and for every other
+    level its pool output, its concat and its two decoder ReLUs."""
+    planes = cfg.in_channels * h * w
+    for i in range(cfg.depth):
+        f, area = cfg.level_channels(i), (h >> i) * (w >> i)
+        planes += f * area + (f * area if i == cfg.depth - 1 else f * area // 4 + 4 * f * area)
+    return n * planes * itemsize
+
+
+def test_unet_cache_holds_each_skip_once_inside_its_concat():
+    cfg = tn.UNetConfig(depth=3, in_channels=4, out_channels=2, base_channels=3)
+    params = tn.init_params(cfg, seed=0, dtype=np.float64)
+    x = np.random.default_rng(6).normal(size=(2, 4, 8, 8))
+    _, cache = tn.unet_forward_cached(params, x)
+    layers = [kind for kind, _, _ in tn._layers(cfg)]
+    pools = [i for i, kind in enumerate(layers) if kind == "pool"]
+    concats = [i for i, kind in enumerate(layers) if kind == "concat"]
+    for pool, concat in zip(pools, reversed(concats)):  # the deepest skip is concatenated first
+        cat = cache[concat + 1]  # the decoder conv caches the concat as its input
+        assert np.shares_memory(cache[pool], cat)
+        assert np.array_equal(cache[pool], cat[:, : cache[concat]])
+    arrays = [a for a in cache if isinstance(a, np.ndarray)]
+    assert _owned_bytes(arrays) == cache_bytes(cfg, 2, 8, 8, x.itemsize)
 
 
 def test_unet_forward_without_cache_peaks_well_below_the_cached_forward(monkeypatch):
@@ -615,6 +664,16 @@ def test_conv_matches_direct_loops_with_bands_across_images(kh, kw, monkeypatch)
     bands = [(b0, b1) for b0, b1, _, _ in tn._row_bands(tn._pad_flat(x, kh, kw), kh, kw, w, ci)]
     assert any(b0 // image < (b1 - 1) // image for b0, b1 in bands)  # a band spans two images
     assert_conv_matches_naive(x, rng.normal(size=(ci, ci, kh, kw)), rng)
+
+
+def test_1x1_conv_at_batch_one_copies_nothing():
+    rng = np.random.default_rng(9)
+    x = rng.normal(size=(1, 4, 5, 6))
+    assert np.shares_memory(tn._pad_flat(x, 1, 1), x)
+    assert not np.shares_memory(tn._pad_flat(x[[0, 0]], 1, 1), x)
+    out = np.empty((3, 1, 5, 6))
+    assert np.shares_memory(tn._unpad_flat(out, 5, 6), out)
+    assert_conv_matches_naive(x, rng.normal(size=(3, 4, 1, 1)), rng)
 
 
 @pytest.mark.parametrize("ci,co", [(1, 1), (3, 2), (8, 5)])

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from gridcast.trainer import (
     train,
     write_epoch_log,
 )
+from test_tensor_nn import cache_bytes
 
 
 def scalar_state(value=1.0):
@@ -217,6 +219,51 @@ def test_predict_pads_and_crops_odd_grid(tmp_path):
     clip = load_clip(ClipSpec("t", "2019-04-01", 0), index_movies([movie]))
     assert predict(forced_output_params(1.0), clip).shape == (3, 3, 7, 9)
     movie.close()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_stack_inputs_pads_the_normalized_values_with_zeros(normalize):
+    rng = np.random.default_rng(3)
+    blocks = [rng.integers(0, 256, (12, 3, 7, 9), dtype=np.uint8) for _ in range(2)]
+    cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=2, normalize=normalize)
+    x = np.stack([b.reshape(36, 7, 9) for b in blocks]).astype(np.float32)
+    if normalize:
+        x = (x - np.float32(128)) / np.float32(255)
+    got = trainer._stack_inputs(blocks, cfg, 4)
+    assert got.dtype == np.float32
+    assert np.array_equal(got, tn.pad_spatial(x, 4)[0])
+    assert np.array_equal(trainer._stack_inputs(blocks, cfg), x)
+
+
+def test_train_step_holds_the_input_once_and_the_targets_only_after_the_forward(monkeypatch):
+    # small bands keep the conv buffers out of the peak, which is then the loss:
+    # the cache, holding each activation once, beside the padded prediction and
+    # three target-sized arrays (targets, difference and its square)
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**12)
+    n, h, w = 2, 61, 53  # padded to 64x56
+    cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=8, normalize=True)
+    rng = np.random.default_rng(4)
+    batch = [
+        trainer.Clip(rng.integers(0, 256, (12, 3, h, w), dtype=np.uint8),
+                     rng.integers(0, 256, (3, 3, h, w), dtype=np.uint8), ClipSpec("t", "d", i))
+        for i in range(n)
+    ]
+    sgd = SGDConfig(batch_size=n, epochs=1, drop_epoch=1)
+    state = new_state(cfg, sgd)
+    trainer._train_step(state, batch, 0.01, sgd)  # first-call allocations stay out of the peak
+    cache = cache_bytes(cfg, n, 64, 56, 4)  # its input is the only copy of the padded batch
+    prediction, target = 4 * n * 9 * 64 * 56, 4 * n * 9 * h * w
+    # a fourth target-sized allowance covers what else is alive: small arrays and
+    # Python objects. The unpadded input (36 channels) alone would exceed it, and
+    # so would the two skips held beside their concats.
+    bound = cache + prediction + 4 * target
+    tracemalloc.start()
+    try:
+        trainer._train_step(state, batch, 0.01, sgd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, f"peaked at {peak} B, bound {bound} B"
 
 
 # ---------------------------------------------------------------------------
