@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Clip, ClipSpec, INPUT_FRAMES, TARGET_FRAMES
-from .movie_store import MovieReader, ingest, open_movie
+from .movie_store import MovieReader, check_grid, ingest, open_movie
 
 
 @dataclass
@@ -37,9 +37,7 @@ def time_slot_average(train_movies: list[MovieReader], slots) -> SlotAverageMode
     if not slots:
         raise ValueError("need at least one slot")
     grid = train_movies[0].header.shape[1:]
-    for m in train_movies:
-        if m.header.shape[1:] != grid:
-            raise ValueError(f"{m.path}: grid (c, h, w) {m.header.shape[1:]} differs from {grid}")
+    check_grid(train_movies, grid, "the first day's")
     days = {s: [m for m in train_movies if s < m.header.t] for s in slots}
     missing = [s for s in slots if not days[s]]
     if missing:

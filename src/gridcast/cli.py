@@ -11,8 +11,7 @@ movies' c channels, not from the config. Example:
     {
       "unet": {"depth": 5, "base_channels": 64, "normalize": false},
       "sgd":  {"lr_initial": 0.02, "lr_after_drop": 0.001, "drop_epoch": 5,
-               "momentum": 0.9, "nesterov": true, "batch_size": 5,
-               "epochs": 12, "seed": 0},
+               "momentum": 0.9, "batch_size": 5, "epochs": 12, "seed": 0},
       "data": {"city": null, "stride": 1, "val_stride": null,
                "train_dates": null, "val_dates": null,
                "test_slots_file": null, "train_on_test_slots_only": false}
@@ -27,6 +26,7 @@ import dataclasses
 import json
 import math
 import os
+import shutil
 import sys
 from datetime import date as _date, timedelta
 from pathlib import Path
@@ -45,13 +45,6 @@ def _open_movies(stack: contextlib.ExitStack, data_dir: Path, city: str | None =
     if not movies:
         raise ValueError(f"no matching .tmm movies in {data_dir}")
     return movies
-
-
-def _check_grid(movies, grid, of: str) -> None:
-    """ValueError naming the first movie whose (c, h, w) is not ``grid``."""
-    for m in movies:
-        if m.header.shape[1:] != grid:
-            raise ValueError(f"{m.path}: grid (c, h, w) {m.header.shape[1:]} differs from {of} {grid}")
 
 
 def _check_channels(movies, cfg: tensor_nn.UNetConfig) -> None:
@@ -104,8 +97,7 @@ def cmd_synth(args) -> int:
     single = args.days == 1 and out.suffix == ".tmm"
     for i in range(args.days):
         day = (start + timedelta(days=i)).isoformat()
-        seed = args.seed + i * args.day_seed_step
-        movie = dataset.synth_movie(args.kind, seed, shape, value=args.value)
+        movie = dataset.synth_movie(args.kind, args.seed, shape, value=args.value)
         if not single:  # made once the first movie exists, so a rejected one leaves nothing
             out.mkdir(parents=True, exist_ok=True)
         path = out if single else out / f"{args.city}_{day}.tmm"
@@ -137,7 +129,7 @@ _SCHEMA = {
     "unet": {"depth": _INT, "base_channels": _INT, "normalize": _BOOL},
     "sgd": {
         "lr_initial": _NUMBER, "lr_after_drop": _NUMBER, "drop_epoch": _INT, "momentum": _NUMBER,
-        "nesterov": _BOOL, "batch_size": _INT, "epochs": _INT, "seed": _INT,
+        "batch_size": _INT, "epochs": _INT, "seed": _INT,
     },
     "data": {
         "city": _STR, "stride": _INT, "val_stride": _STRIDE, "train_dates": _DATES,
@@ -216,7 +208,7 @@ def cmd_train(args) -> int:
         val_specs = dataset.enumerate_clips(val_movies, val_stride)
         used = train_movies + val_movies  # both nonempty, or enumerate_clips raised
         grid = used[0].header.shape[1:]
-        _check_grid(used, grid, f"{used[0].path}'s")
+        movie_store.check_grid(used, grid, f"{used[0].path}'s")
         if unet_cfg.spatial_multiple > max(grid[1:]):
             raise ValueError(f"unet.depth {unet_cfg.depth} pools a {grid[1]}x{grid[2]} grid below 1 pixel")
         c = grid[0]
@@ -241,17 +233,46 @@ def cmd_train(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _atomic_dir(path: Path):
+    """Yield a fresh ``<path>.part`` directory and swap it in for ``path`` when the
+    block ends: ``path`` is renamed to ``<path>.old``, ``<path>.part`` to ``path``,
+    and the old one is removed. A failed block removes ``<path>.part`` and leaves
+    ``path`` as it was. ValueError first if ``path`` or either sibling exists and
+    is not a directory of only .tmm files, so no other file is ever removed."""
+    part, old = Path(f"{path}.part"), Path(f"{path}.old")
+    for d in (path, part, old):
+        if d.exists() and not (d.is_dir() and all(p.suffix == ".tmm" and p.is_file() for p in d.iterdir())):
+            raise ValueError(f"{d} exists and is not a directory of .tmm files only: not replaced")
+    for d in (part, old):  # left by a run that was killed
+        shutil.rmtree(d, ignore_errors=True)
+    part.mkdir(parents=True)
+    try:
+        yield part
+    except BaseException:
+        shutil.rmtree(part)
+        raise
+    if path.exists():
+        path.rename(old)
+    part.rename(path)
+    shutil.rmtree(old, ignore_errors=True)  # absent if there was no old path
+
+
 def _write_per_clip(args, what: str, make_frames) -> int:
     """Write one 3-frame movie per clip of ``--data`` (enumerated with
-    ``--slots`` and ``--stride``) into ``--out``, named by ``_clip_name``.
+    ``--slots`` and ``--stride``) as the new contents of ``--out``, named by
+    ``_clip_name``; a failure leaves ``--out`` as it was (``_atomic_dir``).
 
     ``make_frames(stack, movies, specs)`` runs once before the loop and returns
     ``frames_of(spec, clip)``, which gives a clip's 3 frames; ``clip()`` loads
-    the clip from its movie. ValueError, before ``--out`` is created, if the
-    selection has no clip.
+    the clip from its movie. ValueError, before ``--out`` is touched, if
+    ``--out`` is an input directory or the selection has no clip.
     """
     out_dir = Path(args.out)
-    with contextlib.ExitStack() as stack:
+    inputs = [Path(d).resolve() for d in (args.data, getattr(args, "train", None)) if d]
+    if out_dir.resolve() in inputs:
+        raise ValueError(f"--out {out_dir} is an input directory")
+    with _atomic_dir(out_dir) as part, contextlib.ExitStack() as stack:
         movies = _open_movies(stack, Path(args.data))
         slots = dataset.read_slots(args.slots) if args.slots else None
         specs = dataset.enumerate_clips(movies, args.stride, slots)
@@ -259,10 +280,9 @@ def _write_per_clip(args, what: str, make_frames) -> int:
             raise ValueError(f"no clip of {args.data} matches --slots and --stride: no {what} to write")
         by_key = dataset.index_movies(movies)
         frames_of = make_frames(stack, movies, specs)
-        out_dir.mkdir(parents=True, exist_ok=True)
         for spec in specs:
             frames = frames_of(spec, lambda: dataset.load_clip(spec, by_key))
-            movie_store.ingest(frames, spec.city, spec.day, out_dir / _clip_name(spec))
+            movie_store.ingest(frames, spec.city, spec.day, part / _clip_name(spec))
     print(f"wrote {len(specs)} {what} files to {out_dir}")
     return 0
 
@@ -289,7 +309,7 @@ def cmd_baseline(args) -> int:
             for s in specs
             for j in range(dataset.TARGET_FRAMES)
         }
-        _check_grid(movies, train_movies[0].header.shape[1:], "the slot-average model's")
+        movie_store.check_grid(movies, train_movies[0].header.shape[1:], "the slot-average model's")
         model = baselines.time_slot_average(train_movies, needed)
         if args.model_out:
             baselines.save_model(model, args.model_out)
@@ -315,14 +335,19 @@ def cmd_evaluate(args) -> int:
             f"prediction, {len(names - truth_names)} without truth, e.g. "
             f"{sorted(names ^ truth_names)[:3]}"
         )
-    preds, truths, cities = [], [], []
-    for name in sorted(names):
+    order = sorted(names)
+    cities = []
+    for name in order:  # headers only
         with movie_store.open_movie(pred_dir / name) as m:
-            preds.append(m.read_all())
             cities.append(m.header.city)
-        with movie_store.open_movie(truth_dir / name) as m:
-            truths.append(m.read_all())
-    metrics = trainer.evaluate(preds, truths, cities)
+
+    def frames(directory):  # one clip's frames at a time, read as evaluate asks for them
+        for name in order:
+            with movie_store.open_movie(directory / name) as m:
+                clip = m.read_all()
+            yield clip
+
+    metrics = trainer.evaluate(frames(pred_dir), frames(truth_dir), cities)
     with movie_store._atomic_write(args.report, "w") as f:
         json.dump(dataclasses.asdict(metrics), f, indent=2)
         f.write("\n")
@@ -362,12 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--city", default="synthville")
     sp.add_argument("--start-date", default="2019-01-07")
     sp.add_argument("--value", type=int, default=0, help="cell value (0-255) for kind=constant")
-    sp.add_argument(
-        "--day-seed-step",
-        type=int,
-        default=0,
-        help="seed increment per day (0 repeats the same movie every day)",
-    )
     sp.add_argument("--out", required=True, help="output directory (or .tmm path for a single day)")
     sp.set_defaults(func=cmd_synth)
 

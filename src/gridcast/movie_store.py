@@ -218,6 +218,13 @@ class MovieReader:
         self.close()
 
 
+def check_grid(movies, grid, of: str) -> None:
+    """ValueError naming the first movie whose (c, h, w) is not ``grid``, the grid ``of`` something."""
+    for m in movies:
+        if m.header.shape[1:] != grid:
+            raise ValueError(f"{m.path}: grid (c, h, w) {m.header.shape[1:]} differs from {of} {grid}")
+
+
 def open_movie(path: str | Path) -> MovieReader:
     """Open a TMM1 file, parse and validate the header; no frame data is read."""
     return MovieReader(path)

@@ -29,9 +29,10 @@ the init draw order and the checkpoint tensor order are all read from it.
 
 Only ``unet_forward_cached`` keeps a backward cache, holding each activation once:
 a ReLU caches its output, the very array the next conv, up-conv or pool caches as
-its input, and the backward pass pops each entry once its layer is done. A skip
-is held only inside the concat that copies it: from the concat on, the skip's
-ReLU and pool entries are one view of the concat's first channels.
+its input, and the backward pass pops each entry once its layer is done. A pool's
+input is also its level's skip, held only inside the concat that copies it: from
+the concat on, the pool's entry and its ReLU's are one view of the concat's first
+channels.
 """
 
 from __future__ import annotations
@@ -344,9 +345,9 @@ def _layers(cfg: UNetConfig):
     """The network as a flat list of (kind, name, weight_shape) in forward order.
 
     Kinds: ``conv`` (weight (co, ci, kh, kw)), ``up`` (weight (ci, co, 2, 2)),
-    ``relu``, ``pool``, ``skip`` (push the activation) and ``concat`` (pop the
-    latest skip and put it in front of the current channels). Only conv and up
-    layers have a name and a weight shape; they come in UNP2 checkpoint order.
+    ``relu``, ``pool`` (also push its input as the level's skip) and ``concat``
+    (pop the latest skip and put it in front of the current channels). Only conv
+    and up layers have a name and a weight shape; they come in UNP2 checkpoint order.
     """
     layers = []
 
@@ -363,7 +364,7 @@ def _layers(cfg: UNetConfig):
         f = cfg.level_channels(i)
         double_conv(f"enc{i}", prev, f)
         if i < cfg.depth - 1:
-            layers += [("skip", None, None), ("pool", None, None)]
+            layers.append(("pool", None, None))
         prev = f
     for i in reversed(range(cfg.depth - 1)):
         f = cfg.level_channels(i)
@@ -409,7 +410,7 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
     if h % m or w % m:
         raise ValueError(f"spatial dims {h}x{w} not divisible by {m}")
     t = params.tensors
-    skips = []  # (activation, index of its skip layer and cache entry)
+    skips = []  # (activation, index of the pool that pushed it)
     for i, (kind, name, _) in enumerate(_layers(cfg)):
         entry = x
         if kind == "conv":
@@ -419,19 +420,17 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
         elif kind == "relu":
             x = entry = relu_forward(x)
         elif kind == "pool":
-            x = maxpool2d_forward(x)
-        elif kind == "skip":
             skips.append((x, i))
-            entry = None
+            x = maxpool2d_forward(x)
         else:  # concat
             skip, at = skips.pop()
             entry = skip.shape[1]
             x = concat_channels(skip, x)
             del skip
             if cache is not None:
-                # the skip's ReLU and pool entries (one object) become a view of its copy
-                # in the concat, so the skip's own array is freed and held only there
-                cache[at - 1] = cache[at + 1] = x[:, :entry]
+                # the pool's entry and its ReLU's (one object) become a view of the skip's
+                # copy in the concat, so the skip's own array is freed and held only there
+                cache[at - 1] = cache[at] = x[:, :entry]
         if cache is not None:
             cache.append(entry)
     return x
@@ -440,9 +439,9 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
 def unet_forward_cached(params: UNetParams, x: np.ndarray):
     """Forward pass returning (output, cache), one cache entry per layer of ``_layers``:
     the input of conv/up/pool, the output of relu (the array the next layer caches,
-    so it is held once), the skip's channel count for concat, and None for skip.
-    A skip's ReLU and pool entries are one view of its channels in the concat, which
-    the next conv caches as its input, so the skip's bytes are held once too."""
+    so it is held once) and the skip's channel count for concat. A pool's entry and
+    its ReLU's are one view of the skip's channels in the concat, which the next
+    conv caches as its input, so the skip's bytes are held once too."""
     cache = []
     return _forward(params, x, cache), cache
 
@@ -461,7 +460,7 @@ def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray, *, inp
     freed once no later step reads it and ``cache`` ends up empty."""
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
-    skip_grads = []  # concat pushes the skip's share of the gradient, skip adds it back
+    skip_grads = []  # concat pushes the skip's share of the gradient, its pool adds it back
     g = grad_out
     for i, (kind, name, _) in reversed(list(enumerate(_layers(params.config)))):
         entry = cache.pop()
@@ -474,9 +473,7 @@ def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray, *, inp
         elif kind == "relu":
             g = relu_backward(entry, g)
         elif kind == "pool":
-            g = maxpool2d_backward(entry, g)
-        elif kind == "skip":
-            g = g + skip_grads.pop()
+            g = maxpool2d_backward(entry, g) + skip_grads.pop()
         else:  # concat
             g_skip, g = split_channels(g, entry)
             skip_grads.append(g_skip)

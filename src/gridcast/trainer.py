@@ -3,8 +3,7 @@
 The optimizer is plain SGD with Nesterov momentum in the form
 
     v <- mu * v + g
-    p <- p - lr * (g + mu * v)      (nesterov)
-    p <- p - lr * v                 (otherwise)
+    p <- p - lr * (g + mu * v)
 
 with the learning rate dropped once after a fixed number of epochs. Training
 monitors three losses per epoch: training MSE, full validation MSE, and
@@ -18,7 +17,9 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat, zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,6 @@ class SGDConfig:
     lr_after_drop: float = 0.001
     drop_epoch: int = 5
     momentum: float = 0.9
-    nesterov: bool = True
     batch_size: int = 5
     epochs: int = 12
     seed: int = 0
@@ -101,9 +101,8 @@ def sgd_step(
     grads: dict[str, np.ndarray],
     lr: float,
     momentum: float = 0.9,
-    nesterov: bool = True,
 ) -> TrainState:
-    """One in-place SGD update over every parameter tensor."""
+    """One in-place Nesterov-momentum SGD update over every parameter tensor."""
     for name, p in state.params.tensors.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
@@ -113,10 +112,7 @@ def sgd_step(
         v = state.velocity.tensors[name]
         v *= momentum
         v += g
-        if nesterov:
-            p -= (lr * (g + momentum * v)).astype(p.dtype, copy=False)
-        else:
-            p -= (lr * v).astype(p.dtype, copy=False)
+        p -= (lr * (g + momentum * v)).astype(p.dtype, copy=False)
     state.step += 1
     return state
 
@@ -187,7 +183,7 @@ def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGD
     grad_out, _ = pad_spatial(grad_pred, cfg.spatial_multiple)
     del grad_pred
     grads, _ = unet_backward_cached(state.params, cache, grad_out, input_grad=False)
-    sgd_step(state, grads, lr, sgd_config.momentum, sgd_config.nesterov)
+    sgd_step(state, grads, lr, sgd_config.momentum)
     return loss
 
 
@@ -295,29 +291,32 @@ class Metrics:
 
 
 def evaluate(
-    predictions: list[np.ndarray],
-    truths: list[np.ndarray],
-    cities: list[str] | None = None,
+    predictions: Iterable[np.ndarray],
+    truths: Iterable[np.ndarray],
+    cities: Iterable[str] | None = None,
 ) -> Metrics:
     """Per-element MSE of uint8 frames with per-frame/channel/city splits.
 
-    Squared errors are summed in exact integers (int64), so every mean is one
-    correctly rounded division and does not depend on the order of the clips.
-    ValueError on no clips, unequal counts or shapes, or non-uint8 frames.
+    The inputs may be any iterables; they are read one prediction/truth pair
+    at a time, so generators need hold only one pair. Squared errors are summed
+    in exact integers (int64), so every mean is one correctly rounded division
+    and does not depend on the order of the clips. ValueError on no clips,
+    unequal counts or shapes, fewer cities than clips, or non-uint8 frames.
     """
-    if len(predictions) != len(truths):
-        raise ValueError("prediction and truth counts differ")
-    if not predictions:
-        raise ValueError("nothing to evaluate")
-    if cities is None:
-        cities = [""] * len(predictions)
-
-    frames, channels = predictions[0].shape[:2]
-    sq_sum = np.zeros((frames, channels), np.int64)
-    pixels = 0  # h * w summed over the clips
+    cities = iter(repeat("") if cities is None else cities)
+    sq_sum = None
+    clips = pixels = 0  # pixels: h * w summed over the clips
     city_sq: dict[str, int] = {}
     city_n: dict[str, int] = {}
-    for pred, truth, city in zip(predictions, truths, cities):
+    for pred, truth in zip_longest(predictions, truths):
+        if pred is None or truth is None:
+            raise ValueError("prediction and truth counts differ")
+        city = next(cities, None)
+        if city is None:
+            raise ValueError("fewer cities than clips")
+        if sq_sum is None:
+            frames, channels = pred.shape[:2]
+            sq_sum = np.zeros((frames, channels), np.int64)
         if pred.shape != truth.shape:
             raise ValueError(f"shape mismatch {pred.shape} vs {truth.shape}")
         if pred.shape[:2] != (frames, channels):
@@ -328,15 +327,18 @@ def evaluate(
         sq *= sq
         clip_sq = sq.sum(axis=(2, 3), dtype=np.int64)
         sq_sum += clip_sq
+        clips += 1
         pixels += sq.shape[2] * sq.shape[3]
         city_sq[city] = city_sq.get(city, 0) + int(clip_sq.sum())
         city_n[city] = city_n.get(city, 0) + sq.size
+    if sq_sum is None:
+        raise ValueError("nothing to evaluate")
 
     overall = float(sq_sum.sum() / (pixels * frames * channels))
     per_frame = (sq_sum.sum(axis=1) / (pixels * channels)).tolist()
     per_channel = (sq_sum.sum(axis=0) / (pixels * frames)).tolist()
     per_city = {c: city_sq[c] / city_n[c] for c in sorted(city_sq)}
-    return Metrics(overall, per_frame, per_channel, per_city, len(predictions))
+    return Metrics(overall, per_frame, per_channel, per_city, clips)
 
 
 def write_epoch_log(path: str | Path, log: list[EpochLog]) -> Path:

@@ -226,13 +226,13 @@ def test_optimizer_hand_values():
     cfg = tn.UNetConfig(depth=1, in_channels=1, out_channels=1, base_channels=1)
     params = tn.UNetParams(cfg, {"p": np.array([1.0], dtype=np.float64)})
     state = trainer.TrainState(params, params.zeros_like(), 0, 0, np.random.default_rng(0))
-    trainer.sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.9, nesterov=True)
+    trainer.sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.9)
     delta = state.params.tensors["p"][0] - 1.0
     nesterov_ok = abs(delta - (-0.038)) < 1e-12
 
     params2 = tn.UNetParams(cfg, {"p": np.array([1.0], dtype=np.float64)})
     state2 = trainer.TrainState(params2, params2.zeros_like(), 0, 0, np.random.default_rng(0))
-    trainer.sgd_step(state2, {"p": np.array([1.0])}, lr=0.02, momentum=0.0, nesterov=False)
+    trainer.sgd_step(state2, {"p": np.array([1.0])}, lr=0.02, momentum=0.0)
     vanilla_ok = abs((state2.params.tensors["p"][0] - 1.0) - (-0.02)) < 1e-15
 
     sched = trainer.SGDConfig()
@@ -254,7 +254,7 @@ def test_overfit_single_clip(tmp_path):
     ucfg = tn.UNetConfig(depth=2, in_channels=36, out_channels=9, base_channels=8, normalize=True)
     scfg = trainer.SGDConfig(
         lr_initial=0.1, lr_after_drop=0.1, drop_epoch=0, momentum=0.9,
-        nesterov=True, batch_size=5, epochs=500, seed=0,
+        batch_size=5, epochs=500, seed=0,
     )
     result = trainer.train(ucfg, scfg, [clip], [clip])
     movie.close()
@@ -291,7 +291,7 @@ def test_learning_beats_persistence_and_nears_slot_average(tmp_path):
     ucfg = tn.UNetConfig(depth=2, in_channels=36, out_channels=9, base_channels=16, normalize=True)
     scfg = trainer.SGDConfig(
         lr_initial=0.1, lr_after_drop=0.02, drop_epoch=16, momentum=0.9,
-        nesterov=True, batch_size=5, epochs=20, seed=0,
+        batch_size=5, epochs=20, seed=0,
     )
     result = trainer.train(ucfg, scfg, train_clips, val_clips, test_slots)
     mse_net = trainer.evaluate(

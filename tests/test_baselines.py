@@ -115,7 +115,7 @@ def test_errors(store_days):
 def test_rejects_days_on_different_grids(store_days):
     # sums of a (3, 1, 4) and a (3, 4, 4) frame would broadcast to a wrong mean
     movies = store_days([np.full((20, 3, 4, 4), 10, np.uint8), np.full((20, 3, 1, 4), 30, np.uint8)])
-    with pytest.raises(ValueError, match=r"grid \(c, h, w\) \(3, 1, 4\) differs from \(3, 4, 4\)"):
+    with pytest.raises(ValueError, match=r"grid \(c, h, w\) \(3, 1, 4\) differs from the first day's \(3, 4, 4\)"):
         time_slot_average(movies, [5])
     assert [m.payload_bytes_read for m in movies] == [0, 0]  # every grid is checked first
 

@@ -269,8 +269,10 @@ def test_train_replay_identical_checkpoints(pipeline_dirs, tmp_path):
         (lambda cfg: {**cfg, "unet": {**cfg["unet"], "out_channels": 3}}, "'out_channels'"),
         (lambda cfg: {**cfg, "unet": {**cfg["unet"], "in_channels": 36}}, "'in_channels'"),
         (lambda cfg: {**cfg, "data": {**cfg["data"], "region": [0, 0, 4, 4]}}, "'region'"),
+        # the optimizer is always Nesterov
+        (lambda cfg: {**cfg, "sgd": {**cfg["sgd"], "nesterov": True}}, "'nesterov'"),
     ],
-    ids=["unet_key", "data_key", "section", "not_object", "channels", "in_channels", "region"],
+    ids=["unet_key", "data_key", "section", "not_object", "channels", "in_channels", "region", "nesterov"],
 )
 def test_train_rejects_unknown_config_keys(pipeline_dirs, tmp_path, capsys, edit, named):
     data, _ = pipeline_dirs
@@ -366,6 +368,7 @@ def test_train_rejects_mixed_cities(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # the diverged net's NaNs
 def test_train_numerical_failure_exit_code(pipeline_dirs, tmp_path, capsys):
     data, _ = pipeline_dirs
     cfg = {
@@ -395,6 +398,66 @@ def test_predict_non_finite_output_exit_code(pipeline_dirs, tmp_path, capsys):
     assert not list(out.glob("*"))
 
 
+def _files(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+def test_a_failed_predict_leaves_the_earlier_out_dir_as_it_was(pipeline_dirs, tmp_path, capsys, monkeypatch):
+    data, _ = pipeline_dirs
+    slots = tmp_path / "eight.txt"
+    slots.write_text("".join(f"{s}\n" for s in range(12, 20)))  # 8 clips per day
+    cfg = tn.UNetConfig(depth=1, in_channels=36, out_channels=9, base_channels=2)
+    a, b = (tn.save_params(tn.init_params(cfg, seed), tmp_path / f"{seed}.unp") for seed in (1, 2))
+    out = tmp_path / "pred"
+    assert run("predict", "--ckpt", a, "--data", data, "--slots", slots, "--out", out) == 0
+    written = _files(out)
+    assert len(written) == 24
+
+    predict, calls = trainer.predict, []
+
+    def fails_at_clip_4(params, clip):
+        calls.append(clip)
+        if len(calls) == 4:
+            raise trainer.NumericalError("clip 4 is not finite")
+        return predict(params, clip)
+
+    monkeypatch.setattr(trainer, "predict", fails_at_clip_4)
+    assert run("predict", "--ckpt", b, "--data", data, "--slots", slots, "--out", out) == 3
+    assert "clip 4 is not finite" in capsys.readouterr().err
+    assert _files(out) == written  # not 3 clips of B beside 21 of A
+    assert not Path(f"{out}.part").exists() and not Path(f"{out}.old").exists()
+
+
+def test_a_per_clip_command_replaces_every_file_of_its_out_dir(pipeline_dirs, tmp_path):
+    data, slots = pipeline_dirs
+    out = tmp_path / "truth"
+    out.mkdir()
+    (out / "q__2019-04-30__t0008.tmm").write_bytes(b"stale")
+    assert run("targets", "--data", data, "--slots", slots, "--out", out) == 0
+    assert len(_files(out)) == 6 and not (out / "q__2019-04-30__t0008.tmm").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "slots.txt", "truth"]
+
+
+@pytest.mark.parametrize("fault", ["other_file", "out_is_data", "out_is_file"])
+def test_a_per_clip_command_replaces_no_out_but_a_dir_of_tmm_files(pipeline_dirs, tmp_path, capsys, monkeypatch, fault):
+    data, slots = pipeline_dirs
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "a.tmm").write_bytes(b"clip")
+    if fault == "other_file":
+        (out / "notes.txt").write_text("keep me")
+    elif fault == "out_is_data":
+        out = data
+    else:
+        out = out / "a.tmm"
+    before = {d: _files(d) for d in (tmp_path / "out", data)}
+    monkeypatch.setattr(dataset, "enumerate_clips", lambda *_: pytest.fail("clips were enumerated"))
+    assert run("targets", "--data", data, "--slots", slots, "--out", out) == 2
+    message = "is an input directory" if fault == "out_is_data" else "not a directory of .tmm files only"
+    assert message in capsys.readouterr().err
+    assert {d: _files(d) for d in before} == before
+
+
 @pytest.mark.parametrize("side", ["pred", "truth"])
 def test_evaluate_rejects_partial_file_sets(pipeline_dirs, tmp_path, capsys, side):
     data, slots = pipeline_dirs
@@ -406,6 +469,29 @@ def test_evaluate_rejects_partial_file_sets(pipeline_dirs, tmp_path, capsys, sid
     assert run("evaluate", "--pred", dirs["pred"], "--truth", dirs["truth"], "--report", report) == 2
     assert "differ" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_evaluate_reads_one_pair_at_a_time(pipeline_dirs, tmp_path, monkeypatch):
+    from gridcast import movie_store
+
+    data, slots = pipeline_dirs
+    truth = tmp_path / "truth"
+    assert run("targets", "--data", data, "--slots", slots, "--out", truth) == 0
+    read_all, reads, held = movie_store.MovieReader.read_all, [], []
+
+    def counted(self):
+        reads.append(self.path)
+        return read_all(self)
+
+    def evaluate(preds, truths, cities):
+        for pred, truth in zip(preds, truths):  # each pair is read only as it is asked for
+            held.append(len(reads))
+        return trainer.Metrics(0.0, [], [], {}, len(held))
+
+    monkeypatch.setattr(movie_store.MovieReader, "read_all", counted)
+    monkeypatch.setattr(trainer, "evaluate", evaluate)
+    assert run("evaluate", "--pred", truth, "--truth", truth, "--report", tmp_path / "r.json") == 0
+    assert held == [2, 4, 6, 8, 10, 12]
 
 
 def test_train_non_finite_validation_loss_exit_code(pipeline_dirs, tmp_path, monkeypatch, capsys):

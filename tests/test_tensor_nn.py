@@ -357,15 +357,17 @@ def test_unet_cache_holds_each_activation_once_and_backward_empties_it():
     x = np.random.default_rng(6).normal(size=(2, 4, 8, 8))
     _, cache = tn.unet_forward_cached(params, x)
     layers = tn._layers(cfg)
+    assert {kind for kind, _, _ in layers} == {"conv", "relu", "pool", "up", "concat"}
     assert len(cache) == len(layers)
     for i, (kind, _, _) in enumerate(layers):
         if kind == "relu":
             assert (cache[i] >= 0).all()  # the output, not the pre-activation
-            reader = layers[i + 1][0]
-            if reader != "skip":  # skip caches None
-                assert reader in ("conv", "up") and cache[i + 1] is cache[i], (i, reader)
-        elif kind == "pool":  # its input: the relu output before the skip
-            assert layers[i - 2][0] == "relu" and cache[i] is cache[i - 2], i
+            reader = layers[i + 1][0]  # it shares its entry with the layer that reads it
+            assert reader in ("conv", "up", "pool") and cache[i + 1] is cache[i], (i, reader)
+        elif kind == "concat":
+            assert type(cache[i]) is int  # the skip's channel count
+        else:
+            assert isinstance(cache[i], np.ndarray), (i, kind)
     tn.unet_backward_cached(params, cache, np.ones((2, 2, 8, 8)))
     assert cache == []
 

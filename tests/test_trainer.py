@@ -37,29 +37,21 @@ def scalar_state(value=1.0):
 
 def test_sgd_step_momentum_free_is_vanilla():
     state = scalar_state(1.0)
-    sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.0, nesterov=True)
+    sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.0)
     assert state.params.tensors["p"][0] == pytest.approx(1.0 - 0.02, abs=1e-15)
 
 
 def test_sgd_step_nesterov_hand_value():
     state = scalar_state(1.0)
-    sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.9, nesterov=True)
+    sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.9)
     # v = 1; update = lr * (g + mu * v) = 0.02 * 1.9 = 0.038
     assert state.velocity.tensors["p"][0] == 1.0
     assert state.params.tensors["p"][0] - 1.0 == pytest.approx(-0.038, abs=1e-12)
 
 
-def test_sgd_step_plain_momentum_uses_velocity():
-    state = scalar_state(1.0)
-    sgd_step(state, {"p": np.array([1.0])}, lr=0.1, momentum=0.5, nesterov=False)
-    assert state.params.tensors["p"][0] == pytest.approx(1.0 - 0.1 * 1.0)
-    sgd_step(state, {"p": np.array([1.0])}, lr=0.1, momentum=0.5, nesterov=False)
-    assert state.velocity.tensors["p"][0] == pytest.approx(1.5)
-
-
 def test_sgd_step_zero_grad_keeps_params():
     state = scalar_state(3.0)
-    sgd_step(state, {"p": np.array([0.0])}, lr=0.5, momentum=0.9, nesterov=True)
+    sgd_step(state, {"p": np.array([0.0])}, lr=0.5, momentum=0.9)
     assert state.params.tensors["p"][0] == 3.0
     assert state.step == 1
 
@@ -338,6 +330,22 @@ def test_evaluate_rejects_clips_of_other_frames_or_channels():
     a, b = np.zeros((3, 3, 2, 2), np.uint8), np.ones((3, 1, 2, 2), np.uint8)
     with pytest.raises(ValueError, match=r"\(frames, channels\) \(3, 1\) differ from \(3, 3\)"):
         evaluate([a, b], [a, np.zeros_like(b)])
+
+
+def test_evaluate_takes_generators():
+    rng = np.random.default_rng(2)
+    preds = [rng.integers(0, 256, size=(3, 2, 4, 5), dtype=np.uint8) for _ in range(3)]
+    truths = [rng.integers(0, 256, size=(3, 2, 4, 5), dtype=np.uint8) for _ in range(3)]
+    cities = ["x", "y", "x"]
+    m = evaluate(iter(preds), (t for t in truths), iter(cities))
+    assert m == evaluate(preds, truths, cities)
+    for p, t in ((preds, truths[:2]), (preds[:2], truths)):
+        with pytest.raises(ValueError, match="prediction and truth counts differ"):
+            evaluate(iter(p), iter(t))
+    with pytest.raises(ValueError, match="nothing to evaluate"):
+        evaluate(iter([]), iter([]))
+    with pytest.raises(ValueError, match="fewer cities than clips"):  # not a sum over the first clips
+        evaluate(preds, truths, cities[:2])
 
 
 def test_evaluate_rejects_mismatch():
