@@ -73,6 +73,16 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_inspect(args) -> int:
+    with open(args.file, "rb") as f:
+        checkpoint = f.read(len(tensor_nn.CKPT_MAGIC)) == tensor_nn.CKPT_MAGIC
+    if checkpoint:
+        if args.dump:
+            raise ValueError(f"{args.file} is a UNP2 checkpoint: --dump writes a movie's frames")
+        params = tensor_nn.load_params(args.file)
+        print(f"{args.file}: UNP2 checkpoint {params.config}")
+        for name, w in params.tensors.items():
+            print(f"{name} shape={'x'.join(map(str, w.shape))} l2={np.linalg.norm(w.astype(np.float64)):.6g}")
+        return 0
     with movie_store.open_movie(args.file) as m:
         h = m.header
         print(
@@ -216,10 +226,15 @@ def cmd_train(args) -> int:
             unet_cfg, in_channels=dataset.INPUT_FRAMES * c, out_channels=dataset.TARGET_FRAMES * c
         )
         # params, velocity, the best copy and the gradients, each float32
-        need = 4 * 4 * sum(map(math.prod, tensor_nn._param_shapes(unet_cfg).values()))
+        params = 4 * 4 * sum(map(math.prod, tensor_nn._param_shapes(unet_cfg).values()))
+        days = set(used)  # each counted once: a day's clips are views into one buffer
+        data = sum(m.header.payload_bytes for m in days)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if need > memory:
-            raise ValueError(f"{unet_cfg}: {need:,} bytes of parameters exceed the {memory:,} of memory")
+        if params + data > memory:
+            raise ValueError(
+                f"{unet_cfg}: {data:,} bytes of data ({len(days)} days) plus {params:,} "
+                f"bytes of parameters exceed the {memory:,} bytes of memory"
+            )
         train_clips = [dataset.load_clip(s, by_key) for s in train_specs]
         val_clips = [dataset.load_clip(s, by_key) for s in val_specs]
     result = trainer.train(unet_cfg, sgd_cfg, train_clips, val_clips, test_slots)
@@ -374,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_ingest)
 
-    sp = sub.add_parser("inspect", help="print a movie header; optionally dump frames")
+    sp = sub.add_parser("inspect", help="print a movie header or checkpoint tensors; optionally dump a movie's frames")
     sp.add_argument("file")
     sp.add_argument("--dump", help="write the dense array in .npy format to this path, as given")
     sp.set_defaults(func=cmd_inspect)

@@ -1,9 +1,11 @@
 """Clip enumeration and transforms over stored traffic movies.
 
 A clip is 15 consecutive frames of one day: the first 12 are model input, the
-last 3 the prediction target. For 2-D CNN consumption the input block is
-collapsed frame-major/channel-minor into a single channel stack, e.g.
-(12, 3, h, w) -> (36, h, w).
+last 3 the prediction target. A loaded clip copies nothing: its input and
+target are read-only views into its reader's day buffer (``read_frames``), so
+the 274 stride-1 clips of a day hold that day once, not 14 times. For 2-D CNN
+consumption the input block is collapsed frame-major/channel-minor into a
+single channel stack, e.g. (12, 3, h, w) -> (36, h, w).
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ class ClipSpec:
 
 @dataclass(frozen=True)
 class Clip:
+    """One loaded clip; both arrays are read-only views into the day buffer of
+    the reader that loaded it, and keep that buffer alive."""
+
     input: np.ndarray   # (12, c, h, w) uint8
     target: np.ndarray  # (3, c, h, w) uint8
     spec: ClipSpec
@@ -94,7 +99,8 @@ def index_movies(movies: list[MovieReader]) -> dict[tuple[str, str], MovieReader
 
 
 def load_clip(spec: ClipSpec, movies: dict[tuple[str, str], MovieReader]) -> Clip:
-    """Read the 15 frames of a clip and split them 12 input / 3 target."""
+    """Read the 15 frames of a clip and split them 12 input / 3 target, as
+    views into the movie's day buffer."""
     key = (spec.city, spec.day)
     movie = movies.get(key)
     if movie is None:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import struct
+import weakref
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,6 +157,7 @@ class MovieReader:
         self._path = Path(path)
         # unbuffered: a payload byte never comes from a buffer that an earlier read filled
         self._file = open(self._path, "rb", buffering=0)
+        self._day = None  # weakref to the (t, c, h, w) buffer that read_frames fills
         self.payload_bytes_read = 0
         try:
             self.header = _read_header(self._file)
@@ -176,12 +178,16 @@ class MovieReader:
 
     def read_frames(self, t_start: int, count: int) -> np.ndarray:
         """Read ``count`` consecutive frames starting at ``t_start`` as a
-        read-only (count, c, h, w) uint8 array that owns its data.
+        read-only (count, c, h, w) uint8 view of this reader's day buffer.
 
-        Touches only the bytes of the requested chunk range, which the file
-        reads straight into a fresh numpy buffer (numpy asks the kernel for
-        huge pages on large arrays, so a full-grid clip faults in a few pages,
-        not thousands). MovieFormatError if the file ends inside the range.
+        The reader keeps one (t, c, h, w) buffer per day, held only through
+        the views it has given out: every call reads its frames from the file
+        into rows ``t_start : t_start + count`` of that buffer, so overlapping
+        clips of one day share memory, and a new buffer is made once no view
+        of the old one is alive. Each call touches only the bytes of its chunk
+        range, even where the buffer already holds them; a re-read writes the
+        same bytes, so earlier views keep their values unless the file changes
+        in place. MovieFormatError if the file ends inside the range.
         """
         h = self.header
         if count < 1:
@@ -190,7 +196,11 @@ class MovieReader:
             raise ValueError(
                 f"frame range [{t_start}, {t_start + count}) outside [0, {h.t})"
             )
-        frames = np.empty((count, h.c, h.h, h.w), np.uint8)
+        day = self._day and self._day()
+        if day is None:
+            day = np.empty(h.shape, np.uint8)
+            self._day = weakref.ref(day)
+        frames = day[t_start : t_start + count]
         view = frames.reshape(-1).data
         self._file.seek(self._data_offset + t_start * h.frame_bytes)
         got = 0

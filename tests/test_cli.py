@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import gc
 import json
+import os
 import warnings
 from pathlib import Path
 
@@ -256,6 +257,32 @@ def test_train_replay_identical_checkpoints(pipeline_dirs, tmp_path):
     assert run("train", "--config", cfg, "--data", data, "--out", b) == 0
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.unp.csv").read_text() == (tmp_path / "b.unp.csv").read_text()
+
+
+def test_inspect_prints_a_checkpoints_config_and_each_tensors_shape_and_norm(pipeline_dirs, tmp_path, capsys):
+    data, _ = pipeline_dirs
+    ckpt = tmp_path / "net.unp"
+    assert run("train", "--config", train_config(tmp_path, epochs=1), "--data", data, "--out", ckpt) == 0
+    capsys.readouterr()
+    assert run("inspect", ckpt) == 0
+    head, *lines = capsys.readouterr().out.splitlines()
+    params = tn.load_params(ckpt)
+    assert params.config == tn.UNetConfig(depth=2, in_channels=36, out_channels=9, base_channels=4, normalize=True)
+    assert head == f"{ckpt}: UNP2 checkpoint {params.config}"
+    assert len(lines) == len(params.tensors)
+    for line, (name, w) in zip(lines, params.tensors.items()):
+        shown, shape, norm = line.split()
+        assert shown == name and shape == "shape=" + "x".join(map(str, w.shape))
+        assert float(norm.removeprefix("l2=")) == pytest.approx(np.sqrt((w.astype(np.float64) ** 2).sum()), rel=1e-5)
+    assert run("inspect", ckpt, "--dump", tmp_path / "w.npy") == 2
+    assert "is a UNP2 checkpoint" in capsys.readouterr().err and not (tmp_path / "w.npy").exists()
+
+
+def test_inspect_rejects_a_file_that_is_neither_movie_nor_checkpoint(tmp_path, capsys):
+    junk = tmp_path / "junk.bin"
+    junk.write_bytes(b"UNP1" + bytes(40))
+    assert run("inspect", junk) == 2
+    assert "bad magic b'UNP1'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -635,6 +662,39 @@ def test_train_rejects_parameters_beyond_memory(tmp_path, capsys, monkeypatch):
     assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
     err = capsys.readouterr().err
     assert "depth=9" in err and "base_channels=4096" in err and "bytes of parameters exceed" in err
+    assert not ckpt.exists()
+
+
+def test_train_counts_the_days_it_holds_against_memory(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    run(
+        "synth", "--kind", "random", "--shape", "20,3,8,8", "--days", 4,
+        "--city", "q", "--start-date", "2019-05-01", "--out", data,
+    )
+    path = train_config(tmp_path)  # trains on 05-01 and 05-02, validates on 05-03; 05-04 is unused
+    cfg = tn.UNetConfig(depth=2, in_channels=36, out_channels=9, base_channels=4, normalize=True)
+    params = 4 * 4 * sum(w.size for w in tn.init_params(cfg, 0).tensors.values())
+    days = 3 * 20 * 3 * 8 * 8
+    real_sysconf = os.sysconf
+
+    def with_memory(memory):
+        sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
+        monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or real_sysconf(name))
+
+    def new_state(*args):
+        raise _WeightsDrawn
+
+    monkeypatch.setattr(trainer, "new_state", new_state)
+    ckpt = tmp_path / "x.unp"
+    with_memory(params + days)
+    with pytest.raises(_WeightsDrawn):  # fits exactly: the clips are loaded and training starts
+        run("train", "--config", path, "--data", data, "--out", ckpt)
+    with_memory(params + days - 1)
+    monkeypatch.setattr(dataset, "load_clip", lambda *args: pytest.fail("a clip was loaded"))
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    err = capsys.readouterr().err
+    assert f"{days:,} bytes of data (3 days) plus {params:,} bytes of parameters exceed the" in err
+    assert f"the {params + days - 1:,} bytes of memory" in err
     assert not ckpt.exists()
 
 

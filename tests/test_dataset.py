@@ -81,6 +81,19 @@ def test_load_clip_frames_are_readonly_store_views(ramp_movie):
         a.input[0, 0, 0, 0] = 99
 
 
+def test_stride_1_clips_of_a_day_are_views_into_one_day_buffer(tmp_path):
+    raw = synth_movie("random", 3, (40, 3, 4, 5))
+    with open_movie(ingest(raw, "toy", "2019-01-07", tmp_path / "toy.tmm")) as m:
+        specs = enumerate_clips([m], stride=1)
+        clips = [load_clip(s, index_movies([m])) for s in specs]
+        for spec, clip in zip(specs, clips):
+            assert np.array_equal(clip.input, raw[spec.t_start : spec.t_start + 12])
+            assert np.array_equal(clip.target, raw[spec.t_start + 12 : spec.t_start + 15])
+        bases = {id(a.base): a.base for c in clips for a in (c.input, c.target)}
+        assert sum(b.nbytes for b in bases.values()) == m.header.payload_bytes
+        assert m.payload_bytes_read == len(clips) * 15 * m.header.frame_bytes
+
+
 def test_load_clip_errors(ramp_movie):
     movies = index_movies([ramp_movie])
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import math
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -130,13 +131,52 @@ def test_read_frames_locality_accounting(tmp_path):
         assert m.payload_bytes_read == 16 * 3 * 4 * 5
 
 
-def test_read_frames_and_read_all_return_read_only_arrays_that_own_their_data(tmp_path):
+def test_read_frames_and_read_all_return_read_only_views_of_one_day_buffer(tmp_path):
     raw = np.random.default_rng(2).integers(0, 256, size=(20, 3, 5, 7), dtype=np.uint8)
     with open_movie(make_movie(tmp_path, raw)) as m:
-        for frames, expected in ((m.read_frames(4, 15), raw[4:19]), (m.read_all(), raw)):
-            assert frames.flags.c_contiguous and frames.flags.owndata
+        reads = [(m.read_frames(4, 15), raw[4:19]), (m.read_frames(5, 3), raw[5:8]), (m.read_all(), raw)]
+        for frames, expected in reads:
+            assert frames.flags.c_contiguous and not frames.flags.owndata
             assert not frames.flags.writeable
             assert frames.dtype == np.uint8 and np.array_equal(frames, expected)
+            assert type(frames.base) is np.ndarray and frames.base is reads[0][0].base
+        day = reads[0][0].base
+        assert day.shape == raw.shape and day.dtype == np.uint8
+        assert np.shares_memory(reads[0][0], reads[1][0]) and np.shares_memory(reads[0][0], reads[2][0])
+        assert m.payload_bytes_read == (15 + 3 + 20) * raw[0].nbytes  # held frames are read again
+
+
+def test_a_re_read_leaves_earlier_views_equal_to_the_raw_frames(tmp_path):
+    raw = np.random.default_rng(4).integers(0, 256, size=(30, 2, 4, 3), dtype=np.uint8)
+    with open_movie(make_movie(tmp_path, raw)) as m:
+        views = [(t0, m.read_frames(t0, 15)) for t0 in range(16)]
+        views.append((0, m.read_all()))
+        for t0, frames in views:
+            assert np.array_equal(frames, raw[t0 : t0 + len(frames)])
+
+
+def test_the_day_buffer_is_freed_once_no_view_is_alive(tmp_path):
+    raw = np.random.default_rng(5).integers(0, 256, size=(20, 1, 3, 4), dtype=np.uint8)
+    with open_movie(make_movie(tmp_path, raw)) as m:
+        clip = m.read_frames(2, 15)
+        day = weakref.ref(clip.base)
+        inputs = clip[:12]
+        del clip
+        assert day() is not None  # the input view still holds it
+        assert m.read_frames(0, 1).base is day()
+        del inputs
+        assert day() is None
+        again = m.read_frames(3, 2)
+        assert np.array_equal(again, raw[3:5]) and again.base.shape == raw.shape
+
+
+def test_two_readers_of_one_file_do_not_share_a_buffer(tmp_path):
+    raw = np.random.default_rng(6).integers(0, 256, size=(20, 3, 2, 2), dtype=np.uint8)
+    path = make_movie(tmp_path, raw)
+    with open_movie(path) as a, open_movie(path) as b:
+        fa, fb = a.read_frames(0, 15), b.read_frames(0, 15)
+        assert not np.shares_memory(fa, fb)
+        assert np.array_equal(fa, raw[:15]) and np.array_equal(fb, raw[:15])
 
 
 def test_read_frames_from_a_file_truncated_after_open(tmp_path):
@@ -149,7 +189,8 @@ def test_read_frames_from_a_file_truncated_after_open(tmp_path):
         with open_movie(path) as m:
             with open(path, "r+b") as f:
                 f.truncate(m.header.size + frame_bytes + 7)
-            assert np.array_equal(m.read_frames(0, 1), raw[:1])
+            first = m.read_frames(0, 1)  # held: the failed reads below write into its day
+            assert np.array_equal(first, raw[:1])
             with pytest.raises(MovieFormatError, match="short read"):
                 m.read_frames(1, 2)
             assert m.payload_bytes_read == frame_bytes + 7  # the 1st frame, then the 7 bytes left
@@ -158,6 +199,7 @@ def test_read_frames_from_a_file_truncated_after_open(tmp_path):
             with pytest.raises(MovieFormatError, match="short read"):
                 m.read_all()
             assert m.payload_bytes_read == 2 * frame_bytes + 14
+            assert np.array_equal(first, raw[:1])
 
 
 def test_read_frames_out_of_range(tmp_path):
