@@ -3,10 +3,13 @@
 Exit codes: 0 success, 2 usage or data error, 3 numerical failure.
 
 The train command reads a single JSON config with three optional sections,
-"unet", "sgd" and "data"; every omitted key falls back to the built-in
-defaults (the published training recipe), and an unknown section or key is an
-error (exit 2). The U-Net's 12*c input and 3*c output channels come from the
-movies' c channels, not from the config. Example:
+"unet", "sgd" and "data". The fields of ``tensor_nn.UNetConfig``,
+``trainer.SGDConfig`` and ``DataConfig`` are each section's keys, defaults
+(the published training recipe) and value kinds; the U-Net's 12*c input and
+3*c output channels come from the movies' c channels, not from the config.
+An unknown section or key, a value of the wrong kind or one its dataclass
+rejects is an error (exit 2) before any movie is opened; so, once the movies
+are open, is a listed date with no movie. The defaults, in full:
 
     {
       "unet": {"depth": 5, "base_channels": 64, "normalize": false},
@@ -102,12 +105,14 @@ def cmd_synth(args) -> int:
         raise ValueError(f"--shape must be t,c,h,w, got {args.shape!r}")
     if args.days < 1:
         raise ValueError(f"--days must be >= 1, got {args.days}")
+    if args.value is not None and args.kind != "constant":
+        raise ValueError(f"--value sets the cells of kind constant, not of {args.kind}")
     out = Path(args.out)
     start = _date.fromisoformat(args.start_date)
     single = args.days == 1 and out.suffix == ".tmm"
     for i in range(args.days):
         day = (start + timedelta(days=i)).isoformat()
-        movie = dataset.synth_movie(args.kind, args.seed, shape, value=args.value)
+        movie = dataset.synth_movie(args.kind, args.seed, shape, value=args.value or 0)
         if not single:  # made once the first movie exists, so a rejected one leaves nothing
             out.mkdir(parents=True, exist_ok=True)
         path = out if single else out / f"{args.city}_{day}.tmm"
@@ -116,35 +121,44 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_DATA_DEFAULTS = {
-    "city": None, "stride": 1, "val_stride": None, "train_dates": None,
-    "val_dates": None, "test_slots_file": None, "train_on_test_slots_only": False,
-}
+@dataclasses.dataclass(frozen=True)
+class DataConfig:
+    """The train config's "data" section: which days and clips to train and validate on."""
 
-# the kinds of config value, named as an error names them, and their tests
-# (``type(v) is int`` is false for true and false)
-_INT, _NUMBER, _BOOL = "an integer", "a finite number", "true or false"
-_STR, _DATES, _STRIDE = "null or a string", "null or a list of strings", "null or an integer >= 1"
+    city: str | None = None
+    stride: int = 1
+    val_stride: int | None = None  # None: stride
+    train_dates: list[str] | None = None  # both None: the last quarter of the days validates
+    val_dates: list[str] | None = None
+    test_slots_file: str | None = None
+    train_on_test_slots_only: bool = False
+
+    def __post_init__(self):
+        if (self.train_dates is None) != (self.val_dates is None):
+            raise ValueError("config must set both train_dates and val_dates or neither")
+        both = sorted(set(self.train_dates or ()) & set(self.val_dates or ()))
+        if both:
+            raise ValueError(f"config dates {both} are in both train_dates and val_dates")
+        if self.train_on_test_slots_only and not self.test_slots_file:
+            raise ValueError("config sets train_on_test_slots_only but no test_slots_file")
+
+
+# each section's dataclass; its fields are the section's keys, defaults and
+# kinds, less the U-Net's channel counts, which the movies set
+_SECTIONS = {"unet": tensor_nn.UNetConfig, "sgd": trainer.SGDConfig, "data": DataConfig}
+_FROM_MOVIES = ("in_channels", "out_channels")
+
+# the kind of config value each field annotation takes, named as an error
+# names it, and its test (``type(v) is int`` is false for true and false)
 _KINDS = {
-    _INT: lambda v: type(v) is int,
-    _NUMBER: lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max,
-    _BOOL: lambda v: type(v) is bool,
-    _STR: lambda v: v is None or type(v) is str,
-    _DATES: lambda v: v is None or (type(v) is list and all(type(d) is str for d in v)),
-    _STRIDE: lambda v: v is None or (type(v) is int and v >= 1),
-}
-
-# every settable key of each config section and the kind of its value
-_SCHEMA = {
-    "unet": {"depth": _INT, "base_channels": _INT, "normalize": _BOOL},
-    "sgd": {
-        "lr_initial": _NUMBER, "lr_after_drop": _NUMBER, "drop_epoch": _INT, "momentum": _NUMBER,
-        "batch_size": _INT, "epochs": _INT, "seed": _INT,
-    },
-    "data": {
-        "city": _STR, "stride": _INT, "val_stride": _STRIDE, "train_dates": _DATES,
-        "val_dates": _DATES, "test_slots_file": _STR, "train_on_test_slots_only": _BOOL,
-    },
+    "int": ("an integer", lambda v: type(v) is int),
+    "float": ("a finite number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "str | None": ("null or a string", lambda v: v is None or type(v) is str),
+    "list[str] | None": (
+        "null or a list of strings", lambda v: v is None or (type(v) is list and all(type(d) is str for d in v))
+    ),
+    "int | None": ("null or an integer >= 1", lambda v: v is None or (type(v) is int and v >= 1)),
 }
 
 
@@ -161,40 +175,40 @@ def _object(value, where: str, keys) -> dict:
 def _section(cfg: dict, name: str) -> dict:
     """Config section ``name``; ValueError naming the key of any value not of its kind."""
     where = f"config section {name!r}"
-    section = _object(cfg.get(name, {}), where, _SCHEMA[name])
+    kinds = {f.name: f.type for f in dataclasses.fields(_SECTIONS[name]) if f.name not in _FROM_MOVIES}
+    section = _object(cfg.get(name, {}), where, kinds)
     for key, value in section.items():
-        kind = _SCHEMA[name][key]
-        if not _KINDS[kind](value):
+        kind, ok = _KINDS[kinds[key]]
+        if not ok(value):
             raise ValueError(f"{where}: {key!r} must be {kind}, got {json.dumps(value)}")
     return section
 
 
-def _read_config(path) -> tuple[tensor_nn.UNetConfig, trainer.SGDConfig, dict]:
-    """The train config's U-Net and SGD configs and its data section with
-    defaults filled in; the U-Net's channel counts are left at their defaults
-    for ``cmd_train`` to set from the movies."""
-    cfg = _object(json.loads(Path(path).read_text()), "config", _SCHEMA)
-    unet, sgd, data = (_section(cfg, name) for name in _SCHEMA)
-    return tensor_nn.UNetConfig(**unet), trainer.SGDConfig(**sgd), {**_DATA_DEFAULTS, **data}
+def _read_config(path) -> tuple[tensor_nn.UNetConfig, trainer.SGDConfig, DataConfig]:
+    """The train config's three sections with their defaults filled in; the U-Net's
+    channel counts are left at their defaults for ``cmd_train`` to set from the movies."""
+    cfg = _object(json.loads(Path(path).read_text()), "config", _SECTIONS)
+    sections = {cls: _section(cfg, name) for name, cls in _SECTIONS.items()}  # every kind first
+    return tuple(cls(**section) for cls, section in sections.items())
 
 
-def _split_dates(dates: list[str], data_cfg: dict) -> tuple[list[str], list[str]]:
-    train_dates = data_cfg["train_dates"]
-    val_dates = data_cfg["val_dates"]
-    if train_dates is None and val_dates is None:
+def _split_dates(dates: list[str], data_cfg: DataConfig) -> tuple[list[str], list[str]]:
+    if data_cfg.train_dates is None:  # and so is val_dates
         # default split: last quarter of the days (at least one) validates
         n_val = max(1, len(dates) // 4)
         return dates[:-n_val], dates[-n_val:]
-    if train_dates is None or val_dates is None:
-        raise ValueError("config must set both train_dates and val_dates or neither")
-    return list(train_dates), list(val_dates)
+    missing = sorted(set(data_cfg.train_dates + data_cfg.val_dates) - set(dates))
+    if missing:
+        city = f" of city {data_cfg.city}" if data_cfg.city is not None else ""
+        raise ValueError(f"config dates {missing} have no movie{city} in --data")
+    return data_cfg.train_dates, data_cfg.val_dates
 
 
 def cmd_train(args) -> int:
     unet_cfg, sgd_cfg, data_cfg = _read_config(args.config)
 
     with contextlib.ExitStack() as stack:
-        movies = _open_movies(stack, Path(args.data), data_cfg["city"])
+        movies = _open_movies(stack, Path(args.data), data_cfg.city)
         cities = sorted({m.header.city for m in movies})
         if len(cities) > 1:
             raise ValueError(
@@ -203,19 +217,13 @@ def cmd_train(args) -> int:
         dates = sorted({m.header.date for m in movies})
         train_dates, val_dates = _split_dates(dates, data_cfg)
         by_key = dataset.index_movies(movies)
-        slots_file = data_cfg["test_slots_file"]
-        test_slots = dataset.read_slots(slots_file) if slots_file else None
-        stride = data_cfg["stride"]
-        val_stride = data_cfg["val_stride"] or stride
+        test_slots = dataset.read_slots(data_cfg.test_slots_file) if data_cfg.test_slots_file else None
 
         train_movies = [m for m in movies if m.header.date in train_dates]
         val_movies = [m for m in movies if m.header.date in val_dates]
-        train_specs = dataset.enumerate_clips(
-            train_movies,
-            stride,
-            test_slots if data_cfg["train_on_test_slots_only"] else None,
-        )
-        val_specs = dataset.enumerate_clips(val_movies, val_stride)
+        train_slots = test_slots if data_cfg.train_on_test_slots_only else None
+        train_specs = dataset.enumerate_clips(train_movies, data_cfg.stride, train_slots)
+        val_specs = dataset.enumerate_clips(val_movies, data_cfg.val_stride or data_cfg.stride)
         used = train_movies + val_movies  # both nonempty, or enumerate_clips raised
         grid = used[0].header.shape[1:]
         movie_store.check_grid(used, grid, f"{used[0].path}'s")
@@ -313,6 +321,9 @@ def cmd_predict(args) -> int:
 
 
 def cmd_baseline(args) -> int:
+    if args.kind != "slot_avg" and (args.train, args.model_out) != (None, None):
+        raise ValueError(f"--train and --model-out are for --kind slot_avg; --kind {args.kind} has no model")
+
     def make_frames(stack, movies, specs):
         if args.kind == "persistence":
             return lambda spec, clip: baselines.persistence(clip())
@@ -401,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--days", type=int, default=1)
     sp.add_argument("--city", default="synthville")
     sp.add_argument("--start-date", default="2019-01-07")
-    sp.add_argument("--value", type=int, default=0, help="cell value (0-255) for kind=constant")
+    sp.add_argument("--value", type=int, help="cell value (0-255) for kind=constant (default 0)")
     sp.add_argument("--out", required=True, help="output directory (or .tmm path for a single day)")
     sp.set_defaults(func=cmd_synth)
 

@@ -344,9 +344,68 @@ def test_train_rejects_config_values_of_the_wrong_kind(
     assert not ckpt.exists()
 
 
-def test_config_schema_covers_every_config_field():
-    assert list(cli._SCHEMA["sgd"]) == [f.name for f in dataclasses.fields(trainer.SGDConfig)]
-    assert list(cli._SCHEMA["data"]) == list(cli._DATA_DEFAULTS)
+def test_a_config_of_every_key_at_its_default_parses_to_the_default_configs(tmp_path):
+    cfg = {
+        "unet": {"depth": 5, "base_channels": 64, "normalize": False},
+        "sgd": {"lr_initial": 0.02, "lr_after_drop": 0.001, "drop_epoch": 5, "momentum": 0.9,
+                "batch_size": 5, "epochs": 12, "seed": 0},
+        "data": {"city": None, "stride": 1, "val_stride": None, "train_dates": None, "val_dates": None,
+                 "test_slots_file": None, "train_on_test_slots_only": False},
+    }
+    path = tmp_path / "defaults.json"
+    path.write_text(json.dumps(cfg))
+    defaults = (tn.UNetConfig(), trainer.SGDConfig(), cli.DataConfig())
+    assert cli._read_config(path) == defaults
+    settable = [f.name for c in defaults for f in dataclasses.fields(c) if f.name not in cli._FROM_MOVIES]
+    assert [k for section in cfg.values() for k in section] == settable and len(settable) == 17
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"train_on_test_slots_only": True}, "sets train_on_test_slots_only but no test_slots_file"),
+        ({"train_dates": ["2019-05-03", "2019-05-01"], "val_dates": ["2019-05-01"]},
+         "config dates ['2019-05-01'] are in both train_dates and val_dates"),
+        ({"train_dates": ["2019-05-01"]}, "must set both train_dates and val_dates or neither"),
+    ],
+    ids=["slots_only_without_slots", "date_in_both", "one_date_list"],
+)
+def test_train_rejects_a_data_section_that_contradicts_itself(pipeline_dirs, tmp_path, capsys, monkeypatch, data, message):
+    from gridcast import movie_store
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sgd": {"epochs": 1, "drop_epoch": 1}, "data": {"stride": 8, **data}}))
+    monkeypatch.setattr(movie_store, "open_movie", lambda *a: pytest.fail("a movie was opened"))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", pipeline_dirs[0], "--out", ckpt) == 2
+    assert message in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"train_dates": ["2019-05-01", "2019-05-09"], "val_dates": ["2019-05-03"]},
+         "config dates ['2019-05-09'] have no movie in --data"),
+        ({"train_dates": ["2019-05-01"], "val_dates": ["2019-04-30", "2019-05-03"]},
+         "config dates ['2019-04-30'] have no movie in --data"),
+        ({"city": "q", "train_dates": ["2019-05-01", "2019-05-04"], "val_dates": ["2019-05-05"]},
+         "config dates ['2019-05-04', '2019-05-05'] have no movie of city q in --data"),
+    ],
+    ids=["train", "val", "city"],
+)
+def test_train_rejects_dates_with_no_movie(pipeline_dirs, tmp_path, capsys, monkeypatch, data, message):
+    data_dir, _ = pipeline_dirs  # city q, 2019-05-01..03
+    if "city" in data:  # another city's days do not count
+        run("synth", "--kind", "constant", "--shape", "48,3,8,8", "--days", 2, "--city", "r",
+            "--start-date", "2019-05-04", "--out", data_dir)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sgd": {"epochs": 1, "drop_epoch": 1}, "data": {"stride": 8, **data}}))
+    monkeypatch.setattr(dataset, "load_clip", lambda *a: pytest.fail("a clip was loaded"))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data_dir, "--out", ckpt) == 2
+    assert message in capsys.readouterr().err
+    assert not ckpt.exists()
 
 
 def test_train_rejects_zero_epochs(pipeline_dirs, tmp_path, capsys):
@@ -376,6 +435,25 @@ def test_synth_rejects_what_it_cannot_store(tmp_path, capsys, argv, message):
         assert run("synth", "--kind", "constant", "--shape", "4,1,2,2", *argv, "--out", out) == 2
         assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("kind", ["time_ramp", "slot_pattern", "random"])
+def test_synth_rejects_a_value_for_a_kind_that_has_none(tmp_path, capsys, kind):
+    out = tmp_path / "days"
+    assert run("synth", "--kind", kind, "--shape", "4,1,2,2", "--value", 0, "--out", out) == 2
+    assert f"--value sets the cells of kind constant, not of {kind}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["persistence", "zero"])
+@pytest.mark.parametrize("flag", ["--train", "--model-out"])
+def test_baseline_rejects_model_flags_for_a_kind_without_a_model(pipeline_dirs, tmp_path, capsys, kind, flag):
+    data, slots = pipeline_dirs
+    out = tmp_path / "out"
+    value = tmp_path / "missing"  # neither read nor written
+    assert run("baseline", "--kind", kind, flag, value, "--data", data, "--slots", slots, "--out", out) == 2
+    assert f"--model-out are for --kind slot_avg; --kind {kind} has no model" in capsys.readouterr().err
+    assert not out.exists() and not value.exists()
 
 
 def test_train_missing_data_dir(tmp_path):
@@ -595,11 +673,11 @@ def test_documented_configs_match_the_schema(tmp_path):
     doc = cli.__doc__
     path = tmp_path / "doc.json"
     path.write_text(doc[doc.index("{") : doc.rindex("}") + 1])
-    assert cli._read_config(path) == (tn.UNetConfig(), trainer.SGDConfig(), cli._DATA_DEFAULTS)
+    assert cli._read_config(path) == (tn.UNetConfig(), trainer.SGDConfig(), cli.DataConfig())
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     path.write_text(readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0])
     unet, sgd, data = cli._read_config(path)
-    assert (unet.depth, sgd.epochs, data["test_slots_file"]) == (2, 20, "slots.txt")
+    assert (unet.depth, sgd.epochs, data.test_slots_file) == (2, 20, "slots.txt")
 
 
 def test_train_rejects_days_on_different_grids(pipeline_dirs, tmp_path, capsys):
