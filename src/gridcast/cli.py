@@ -195,6 +195,11 @@ def _read_config(path) -> tuple[tensor_nn.UNetConfig, trainer.SGDConfig, DataCon
 def _split_dates(dates: list[str], data_cfg: DataConfig) -> tuple[list[str], list[str]]:
     if data_cfg.train_dates is None:  # and so is val_dates
         # default split: last quarter of the days (at least one) validates
+        if len(dates) < 2:
+            raise ValueError(
+                f"the default split needs at least two days, --data has {dates}: "
+                "set data.train_dates and data.val_dates"
+            )
         n_val = max(1, len(dates) // 4)
         return dates[:-n_val], dates[-n_val:]
     missing = sorted(set(data_cfg.train_dates + data_cfg.val_dates) - set(dates))
@@ -237,11 +242,15 @@ def cmd_train(args) -> int:
         params = 4 * 4 * sum(map(math.prod, tensor_nn._param_shapes(unet_cfg).values()))
         days = set(used)  # each counted once: a day's clips are views into one buffer
         data = sum(m.header.payload_bytes for m in days)
+        batch = min(sgd_cfg.batch_size, len(train_specs))
+        padded = [n + (-n) % unet_cfg.spatial_multiple for n in grid[1:]]
+        cache = tensor_nn.cache_bytes(unet_cfg, batch, *padded)
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-        if params + data > memory:
+        if params + data + cache > memory:
             raise ValueError(
-                f"{unet_cfg}: {data:,} bytes of data ({len(days)} days) plus {params:,} "
-                f"bytes of parameters exceed the {memory:,} bytes of memory"
+                f"{unet_cfg}: {data:,} bytes of data ({len(days)} days), {params:,} bytes of "
+                f"parameters and {cache:,} bytes of activations (batch {batch}, "
+                f"{padded[0]}x{padded[1]}) exceed the {memory:,} bytes of memory"
             )
         train_clips = [dataset.load_clip(s, by_key) for s in train_specs]
         val_clips = [dataset.load_clip(s, by_key) for s in val_specs]

@@ -32,7 +32,9 @@ a ReLU caches its output, the very array the next conv, up-conv or pool caches a
 its input, and the backward pass pops each entry once its layer is done. A pool's
 input is also its level's skip, held only inside the concat that copies it: from
 the concat on, the pool's entry and its ReLU's are one view of the concat's first
-channels.
+channels. ``cache_bytes`` gives the bytes such a cache holds, from shapes alone.
+A caller may replace an entry by a function that rebuilds it: the backward pass
+calls it when the entry's layer runs, so the array need not be held until then.
 """
 
 from __future__ import annotations
@@ -446,6 +448,28 @@ def unet_forward_cached(params: UNetParams, x: np.ndarray):
     return _forward(params, x, cache), cache
 
 
+def cache_bytes(cfg: UNetConfig, n: int, h: int, w: int, dtype=np.float32) -> int:
+    """Bytes that the cache of ``unet_forward_cached`` holds for an (n, in_channels,
+    h, w) input of ``dtype``, h and w multiples of ``cfg.spatial_multiple``: the
+    input, and the output of each ReLU (but a skip's, held in its concat), pool
+    and concat."""
+    layers = _layers(cfg)
+    c, area = cfg.in_channels, h * w
+    held = c * area
+    for i, (kind, _, shape) in enumerate(layers):
+        if kind == "conv":
+            c = shape[0]
+        elif kind == "up":
+            c, area = shape[1], 4 * area
+        elif kind == "pool":
+            area //= 4
+        elif kind == "concat":
+            c *= 2
+        if kind in ("pool", "concat") or (kind == "relu" and layers[i + 1][0] != "pool"):
+            held += c * area
+    return n * held * np.dtype(dtype).itemsize
+
+
 def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
     """Run the network holding only the skips; output dims equal the (aligned) input dims."""
     return _forward(params, x, None)
@@ -457,13 +481,17 @@ def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray, *, inp
     first conv skips its input gradient and None is returned in its place.
 
     Each entry is popped off ``cache`` as its layer runs, so an activation is
-    freed once no later step reads it and ``cache`` ends up empty."""
+    freed once no later step reads it and ``cache`` ends up empty. An entry
+    that is callable is called then, and its result is the entry: a caller can
+    rebuild an array there instead of holding it through the backward pass."""
     t = params.tensors
     grads: dict[str, np.ndarray] = {}
     skip_grads = []  # concat pushes the skip's share of the gradient, its pool adds it back
     g = grad_out
     for i, (kind, name, _) in reversed(list(enumerate(_layers(params.config)))):
         entry = cache.pop()
+        if callable(entry):
+            entry = entry()
         if kind == "conv":
             g, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(
                 entry, t[f"{name}.w"], g, input_grad=input_grad or i > 0

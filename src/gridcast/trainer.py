@@ -15,6 +15,7 @@ predictions are emitted.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from collections.abc import Iterable
@@ -59,8 +60,10 @@ class SGDConfig:
             raise ValueError("learning rates must be > 0")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.drop_epoch > self.epochs:
-            raise ValueError("drop_epoch must be <= epochs")
+        if not 0 <= self.drop_epoch <= self.epochs:
+            raise ValueError(f"drop_epoch must be in 0..epochs, got {self.drop_epoch}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -163,15 +166,17 @@ def _loss_scale(cfg: UNetConfig) -> float:
 
 def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGDConfig) -> float:
     """Forward, backward and SGD update on one batch; returns its loss. The
-    input is stacked straight into its padded array, which the cache then holds
-    as the only copy; the targets are stacked only after the forward, and the
-    loss gradient reuses the difference's buffer. The prediction, cache and
-    gradients all die when it returns, so none of them is held while
-    validation runs."""
+    input is stacked straight into its padded array for the forward. Only
+    ``enc0.conv1``'s weight gradient reads it again, as the backward's last
+    step, so once the forward returns the cache holds a rebuild of it from the
+    clips instead: the same values, stacked again there. The targets are
+    stacked only after the forward, and the loss gradient reuses the
+    difference's buffer. The prediction, cache and gradients all die when it
+    returns, so none of them is held while validation runs."""
     cfg = state.params.config
-    out, cache = unet_forward_cached(
-        state.params, _stack_inputs([c.input for c in batch], cfg, cfg.spatial_multiple)
-    )
+    stack = functools.partial(_stack_inputs, [c.input for c in batch], cfg, cfg.spatial_multiple)
+    out, cache = unet_forward_cached(state.params, stack())
+    cache[0] = stack
     y = _stack_inputs([c.target for c in batch], cfg)
     loss, grad_pred = mse_loss(crop_spatial(out, y.shape[-2:]), y)
     del out, y  # the backward pass reads only the cache and grad_out
@@ -195,13 +200,16 @@ def train(
     test_slots: set[int] | None = None,
 ) -> TrainResult:
     """Run the full training loop: seeded shuffling, mini-batches, per-epoch
-    train/validation/test-slot loss logging, best-validation checkpointing."""
+    train/validation/test-slot loss logging, best-validation checkpointing.
+    The parameters are copied only after an epoch that lowers the validation
+    loss. The first epoch always does, since every epoch's loss is finite or
+    raises NumericalError."""
     if not train_clips or not val_clips:
         raise ValueError("train and validation clip sets must be nonempty")
     state = new_state(unet_config, sgd_config)
     scale = _loss_scale(unet_config)
     log: list[EpochLog] = []
-    best_params = state.params.copy()
+    best_params = None
     best_val = math.inf
 
     for epoch in range(sgd_config.epochs):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import gc
 import json
+import math
 import os
 import warnings
 from pathlib import Path
@@ -13,6 +14,7 @@ from gridcast import cli, dataset, tensor_nn as tn, trainer
 from gridcast.cli import main
 from gridcast.dataset import synth_movie
 from gridcast.movie_store import open_movie
+from test_tensor_nn import cache_bytes
 
 
 def run(*argv):
@@ -421,6 +423,42 @@ def test_train_rejects_zero_epochs(pipeline_dirs, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "sgd, message",
+    [
+        ({"momentum": -5}, "momentum must be in [0, 1), got -5"),
+        ({"momentum": 1}, "momentum must be in [0, 1), got 1"),
+        ({"drop_epoch": -1}, "drop_epoch must be in 0..epochs, got -1"),
+    ],
+    ids=["momentum_negative", "momentum_one", "drop_epoch_negative"],
+)
+def test_train_rejects_sgd_values_out_of_bounds(pipeline_dirs, tmp_path, capsys, monkeypatch, sgd, message):
+    from gridcast import movie_store
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sgd": {"epochs": 1, "drop_epoch": 1, **sgd}, "data": {"stride": 8}}))
+    monkeypatch.setattr(movie_store, "open_movie", lambda *a: pytest.fail("a movie was opened"))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", pipeline_dirs[0], "--out", ckpt) == 2
+    assert message in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_train_on_one_day_with_the_default_split_exits_2(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "data"
+    run("synth", "--kind", "random", "--shape", "20,3,8,8", "--days", 1, "--city", "q",
+        "--start-date", "2019-05-01", "--out", data)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"unet": {"depth": 2, "base_channels": 4}, "sgd": {"epochs": 1, "drop_epoch": 1}}))
+    monkeypatch.setattr(dataset, "load_clip", lambda *a: pytest.fail("a clip was loaded"))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
+    err = capsys.readouterr().err
+    assert "the default split needs at least two days, --data has ['2019-05-01']" in err
+    assert "set data.train_dates and data.val_dates" in err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("--value", 300), "value must be in 0..255"),
@@ -739,7 +777,9 @@ def test_train_rejects_parameters_beyond_memory(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(dataset, "load_clip", lambda *args: pytest.fail("a clip was loaded"))
     assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
     err = capsys.readouterr().err
-    assert "depth=9" in err and "base_channels=4096" in err and "bytes of parameters exceed" in err
+    unet = tn.UNetConfig(depth=9, in_channels=36, out_channels=9, base_channels=4096)
+    params = 4 * 4 * sum(map(math.prod, tn._param_shapes(unet).values()))
+    assert str(unet) in err and f"{params:,} bytes of parameters and" in err
     assert not ckpt.exists()
 
 
@@ -753,6 +793,7 @@ def test_train_counts_the_days_it_holds_against_memory(tmp_path, capsys, monkeyp
     cfg = tn.UNetConfig(depth=2, in_channels=36, out_channels=9, base_channels=4, normalize=True)
     params = 4 * 4 * sum(w.size for w in tn.init_params(cfg, 0).tensors.values())
     days = 3 * 20 * 3 * 8 * 8
+    cache = cache_bytes(cfg, 2, 8, 8, 4)  # one clip per training day at stride 8, below batch_size 5
     real_sysconf = os.sysconf
 
     def with_memory(memory):
@@ -764,15 +805,17 @@ def test_train_counts_the_days_it_holds_against_memory(tmp_path, capsys, monkeyp
 
     monkeypatch.setattr(trainer, "new_state", new_state)
     ckpt = tmp_path / "x.unp"
-    with_memory(params + days)
+    with_memory(params + days + cache)
     with pytest.raises(_WeightsDrawn):  # fits exactly: the clips are loaded and training starts
         run("train", "--config", path, "--data", data, "--out", ckpt)
-    with_memory(params + days - 1)
+    with_memory(params + days + cache - 1)
     monkeypatch.setattr(dataset, "load_clip", lambda *args: pytest.fail("a clip was loaded"))
     assert run("train", "--config", path, "--data", data, "--out", ckpt) == 2
     err = capsys.readouterr().err
-    assert f"{days:,} bytes of data (3 days) plus {params:,} bytes of parameters exceed the" in err
-    assert f"the {params + days - 1:,} bytes of memory" in err
+    assert (
+        f"{days:,} bytes of data (3 days), {params:,} bytes of parameters and {cache:,} bytes of "
+        f"activations (batch 2, 8x8) exceed the {params + days + cache - 1:,} bytes of memory"
+    ) in err
     assert not ckpt.exists()
 
 

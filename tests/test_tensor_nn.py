@@ -409,6 +409,28 @@ def test_unet_cache_holds_each_skip_once_inside_its_concat():
     assert _owned_bytes(arrays) == cache_bytes(cfg, 2, 8, 8, x.itemsize)
 
 
+@pytest.mark.parametrize(
+    "depth, base, n, h, w, dtype",
+    [(1, 3, 2, 4, 6, np.float64), (2, 4, 1, 8, 4, np.float32), (3, 3, 2, 8, 8, np.float64),
+     (4, 2, 3, 16, 24, np.float32)],
+)
+def test_cache_bytes_equals_the_oracle_and_the_bytes_a_real_cache_owns(depth, base, n, h, w, dtype):
+    cfg = tn.UNetConfig(depth=depth, in_channels=4, out_channels=2, base_channels=base)
+    expected = cache_bytes(cfg, n, h, w, np.dtype(dtype).itemsize)
+    assert tn.cache_bytes(cfg, n, h, w, dtype) == expected
+    params = tn.init_params(cfg, seed=0, dtype=dtype)
+    x = np.random.default_rng(8).normal(size=(n, 4, h, w)).astype(dtype)
+    _, cache = tn.unet_forward_cached(params, x)
+    assert _owned_bytes([a for a in cache if isinstance(a, np.ndarray)]) == expected
+
+
+def test_cache_bytes_at_the_real_grid_is_the_traced_activation_bytes():
+    # a depth-5, base-16 U-Net on one clip of 495x436 padded to 496x448; the
+    # benchmark's traced run at the real grid reports the same bytes
+    cfg = tn.UNetConfig(depth=5, in_channels=36, out_channels=9, base_channels=16, normalize=True)
+    assert tn.cache_bytes(cfg, 1, 496, 448) == cache_bytes(cfg, 1, 496, 448, 4) == 173_766_656
+
+
 def test_unet_forward_without_cache_peaks_well_below_the_cached_forward(monkeypatch):
     # small bands keep the im2col buffer, which both forwards share, out of the peaks
     monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**12)

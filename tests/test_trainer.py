@@ -77,6 +77,12 @@ def test_sgd_config_validation():
         SGDConfig(drop_epoch=20, epochs=10)
     with pytest.raises(ValueError, match="epochs must be >= 1"):
         SGDConfig(drop_epoch=0, epochs=0)
+    with pytest.raises(ValueError, match=r"drop_epoch must be in 0\.\.epochs, got -1"):
+        SGDConfig(drop_epoch=-1)
+    for momentum in (-5, -0.1, 1, 1.5):
+        with pytest.raises(ValueError, match=r"momentum must be in \[0, 1\)"):
+            SGDConfig(momentum=momentum)
+    assert SGDConfig(momentum=0, drop_epoch=0).momentum == 0
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +151,24 @@ def test_train_rejects_empty_sets(toy_clips):
         train(TOY_UNET, cfg, [], val_clips)
     with pytest.raises(ValueError):
         train(TOY_UNET, cfg, train_clips, [])
+
+
+def test_train_copies_the_parameters_only_after_an_epoch_that_improves(toy_clips, monkeypatch):
+    train_clips, val_clips = toy_clips
+    losses = iter([5.0, 3.0, 4.0, 2.0, 2.0])  # improve in epochs 0, 1 and 3
+    monkeypatch.setattr(trainer, "validation_losses", lambda *args: (next(losses), math.nan))
+    copies = []
+    copy = tn.UNetParams.copy
+
+    def counting_copy(params):
+        copies.append(copy(params))
+        return copies[-1]
+
+    monkeypatch.setattr(tn.UNetParams, "copy", counting_copy)
+    cfg = SGDConfig(lr_initial=0.05, lr_after_drop=0.01, drop_epoch=2, epochs=5, seed=1)
+    result = train(TOY_UNET, cfg, train_clips, val_clips)
+    assert len(copies) == 3
+    assert result.best_params is copies[-1] and result.best_val_mse == 2.0
 
 
 def test_train_single_clip_overfit_quickly(tmp_path):
@@ -227,6 +251,14 @@ def test_stack_inputs_pads_the_normalized_values_with_zeros(normalize):
     assert np.array_equal(trainer._stack_inputs(blocks, cfg), x)
 
 
+def random_batch(rng, n, h, w):
+    return [
+        trainer.Clip(rng.integers(0, 256, (12, 3, h, w), dtype=np.uint8),
+                     rng.integers(0, 256, (3, 3, h, w), dtype=np.uint8), ClipSpec("t", "d", i))
+        for i in range(n)
+    ]
+
+
 def test_train_step_holds_the_input_once_and_the_targets_only_after_the_forward(monkeypatch):
     # small bands keep the conv buffers out of the peak, which is then the loss:
     # the cache, holding each activation once, beside the padded prediction and
@@ -234,12 +266,7 @@ def test_train_step_holds_the_input_once_and_the_targets_only_after_the_forward(
     monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**12)
     n, h, w = 2, 61, 53  # padded to 64x56
     cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=8, normalize=True)
-    rng = np.random.default_rng(4)
-    batch = [
-        trainer.Clip(rng.integers(0, 256, (12, 3, h, w), dtype=np.uint8),
-                     rng.integers(0, 256, (3, 3, h, w), dtype=np.uint8), ClipSpec("t", "d", i))
-        for i in range(n)
-    ]
+    batch = random_batch(np.random.default_rng(4), n, h, w)
     sgd = SGDConfig(batch_size=n, epochs=1, drop_epoch=1)
     state = new_state(cfg, sgd)
     trainer._train_step(state, batch, 0.01, sgd)  # first-call allocations stay out of the peak
@@ -256,6 +283,65 @@ def test_train_step_holds_the_input_once_and_the_targets_only_after_the_forward(
     finally:
         tracemalloc.stop()
     assert peak < bound, f"peaked at {peak} B, bound {bound} B"
+
+
+def test_train_step_holds_no_input_while_the_backward_runs(monkeypatch):
+    # small bands keep the conv buffers out of what is alive; at the backward's
+    # entry that is the cache without its input, the padded loss gradient, and
+    # small arrays and Python objects, which a target-sized allowance covers
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**12)
+    n, h, w = 2, 61, 53  # padded to 64x56
+    cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=8, normalize=True)
+    batch = random_batch(np.random.default_rng(4), n, h, w)
+    sgd = SGDConfig(batch_size=n, epochs=1, drop_epoch=1)
+    state = new_state(cfg, sgd)
+    trainer._train_step(state, batch, 0.01, sgd)  # first-call allocations stay out of the count
+    at_entry = []
+    backward = trainer.unet_backward_cached
+
+    def spy(*args, **kwargs):
+        at_entry.append(tracemalloc.get_traced_memory()[0])
+        return backward(*args, **kwargs)
+
+    monkeypatch.setattr(trainer, "unet_backward_cached", spy)
+    cache, stacked_input = cache_bytes(cfg, n, 64, 56, 4), 4 * n * 36 * 64 * 56
+    grad_out, target = 4 * n * 9 * 64 * 56, 4 * n * 9 * h * w
+    # holding the input adds 4 grad_out's bytes, more than the allowance
+    bound = cache - stacked_input + grad_out + target
+    tracemalloc.start()
+    try:
+        trainer._train_step(state, batch, 0.01, sgd)
+    finally:
+        tracemalloc.stop()
+    assert at_entry[0] < bound, f"{at_entry[0]} B alive at the backward's entry, bound {bound} B"
+
+
+def test_train_step_equals_a_reference_step_that_keeps_its_input(monkeypatch):
+    n, h, w = 2, 13, 11  # padded to 16x12
+    cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=4, normalize=True)
+    batch = random_batch(np.random.default_rng(5), n, h, w)
+    sgd = SGDConfig(batch_size=n, epochs=1, drop_epoch=1)
+    state, ref = new_state(cfg, sgd), new_state(cfg, sgd)
+    first_entries = []
+    backward = trainer.unet_backward_cached
+
+    def spy(params, cache, *args, **kwargs):
+        first_entries.append(cache[0])
+        return backward(params, cache, *args, **kwargs)
+
+    monkeypatch.setattr(trainer, "unet_backward_cached", spy)
+    for _ in range(2):  # the second step also applies the momentum
+        loss = trainer._train_step(state, batch, 0.01, sgd)
+        x = trainer._stack_inputs([c.input for c in batch], cfg, cfg.spatial_multiple)
+        y = trainer._stack_inputs([c.target for c in batch], cfg)
+        ref_loss, grad_pred = tn.mse_loss(tn.crop_spatial(tn.unet_forward(ref.params, x), (h, w)), y)
+        grads, _ = tn.unet_backward(ref.params, x, tn.pad_spatial(grad_pred, cfg.spatial_multiple)[0])
+        sgd_step(ref, grads, 0.01, sgd.momentum)
+        assert loss == ref_loss
+    assert len(first_entries) == 2 and all(callable(e) for e in first_entries)  # a rebuild, not the input
+    for name, p in state.params.tensors.items():
+        assert np.array_equal(p, ref.params.tensors[name]), name
+        assert np.array_equal(state.velocity.tensors[name], ref.velocity.tensors[name]), name
 
 
 # ---------------------------------------------------------------------------
