@@ -228,7 +228,13 @@ def cmd_train(args) -> int:
         val_movies = [m for m in movies if m.header.date in val_dates]
         train_slots = test_slots if data_cfg.train_on_test_slots_only else None
         train_specs = dataset.enumerate_clips(train_movies, data_cfg.stride, train_slots)
-        val_specs = dataset.enumerate_clips(val_movies, data_cfg.val_stride or data_cfg.stride)
+        val_stride = data_cfg.val_stride or data_cfg.stride
+        val_specs = dataset.enumerate_clips(val_movies, val_stride)
+        if not train_specs:  # before any clip is read
+            slots = f" and the slots of {data_cfg.test_slots_file}" if train_slots is not None else ""
+            raise ValueError(f"no training clip in {len(train_movies)} days at stride {data_cfg.stride}{slots}")
+        if not val_specs:
+            raise ValueError(f"no validation clip in {len(val_movies)} days at stride {val_stride}")
         used = train_movies + val_movies  # both nonempty, or enumerate_clips raised
         grid = used[0].header.shape[1:]
         movie_store.check_grid(used, grid, f"{used[0].path}'s")
@@ -345,6 +351,9 @@ def cmd_baseline(args) -> int:
             for j in range(dataset.TARGET_FRAMES)
         }
         movie_store.check_grid(movies, train_movies[0].header.shape[1:], "the slot-average model's")
+        cities = sorted({m.header.city for m in train_movies + movies})
+        if len(cities) > 1:
+            raise ValueError(f"the slot average is strictly per city; --train and --data hold {cities}")
         model = baselines.time_slot_average(train_movies, needed)
         if args.model_out:
             baselines.save_model(model, args.model_out)

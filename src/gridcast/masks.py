@@ -15,8 +15,6 @@ import numpy as np
 
 from .movie_store import MovieReader, ingest, open_movie
 
-_FRAME_BATCH = 64
-
 
 @dataclass(frozen=True)
 class Mask:
@@ -38,10 +36,8 @@ def build_mask(movies: list[MovieReader], threshold: int) -> Mask:
         hdr = m.header
         if (hdr.h, hdr.w) != peak.shape:
             raise ValueError(f"grid {hdr.h}x{hdr.w} does not match {peak.shape}")
-        for t0 in range(0, hdr.t, _FRAME_BATCH):
-            n = min(_FRAME_BATCH, hdr.t - t0)
-            frames = m.read_frames(t0, n)
-            np.maximum(peak, frames.max(axis=(0, 1)), out=peak)
+        # one statement: the day's buffer is freed once its max is taken
+        np.maximum(peak, m.read_all().max(axis=(0, 1)), out=peak)
         span += hdr.t
     return Mask(peak > threshold, threshold, span)
 

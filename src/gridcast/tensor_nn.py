@@ -257,25 +257,6 @@ def split_channels(grad: np.ndarray, first_channels: int):
     return grad[:, :first_channels], grad[:, first_channels:]
 
 
-def pad_spatial(x: np.ndarray, multiple: int):
-    """Zero-pad bottom/right so h and w become multiples of ``multiple``.
-
-    Returns (padded, (h, w)) where (h, w) is the crop record.
-    """
-    h, w = x.shape[-2:]
-    ph = (-h) % multiple
-    pw = (-w) % multiple
-    if ph == 0 and pw == 0:
-        return x, (h, w)
-    pad = [(0, 0)] * (x.ndim - 2) + [(0, ph), (0, pw)]
-    return np.pad(x, pad), (h, w)
-
-
-def crop_spatial(x: np.ndarray, hw: tuple[int, int]) -> np.ndarray:
-    h, w = hw
-    return x[..., :h, :w]
-
-
 def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error over all elements; returns (loss, dloss/dpred)."""
     if pred.shape != target.shape:
@@ -287,13 +268,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     return loss, diff
 
 
-def clamp_255(x: np.ndarray) -> np.ndarray:
-    return np.clip(x, 0, 255)
-
-
 def round_half_up_uint8(x: np.ndarray) -> np.ndarray:
     """Clamp to [0, 255] and round half-up to uint8 (19.5 -> 20)."""
-    return np.floor(clamp_255(x) + 0.5).astype(np.uint8)
+    return np.floor(np.clip(x, 0, 255) + 0.5).astype(np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +452,10 @@ def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
     return _forward(params, x, None)
 
 
-def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray, *, input_grad: bool = True):
-    """Run ``_layers`` in reverse over the forward cache; returns (parameter
-    gradients in canonical order, input gradient). With ``input_grad`` false the
-    first conv skips its input gradient and None is returned in its place.
+def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray) -> dict[str, np.ndarray]:
+    """Run ``_layers`` in reverse over the forward cache; returns the parameter
+    gradients of sum(grad_out * output) in canonical order. The first conv
+    computes no input gradient: nothing reads one.
 
     Each entry is popped off ``cache`` as its layer runs, so an activation is
     freed once no later step reads it and ``cache`` ends up empty. An entry
@@ -494,7 +471,7 @@ def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray, *, inp
             entry = entry()
         if kind == "conv":
             g, grads[f"{name}.w"], grads[f"{name}.b"] = conv2d_backward(
-                entry, t[f"{name}.w"], g, input_grad=input_grad or i > 0
+                entry, t[f"{name}.w"], g, input_grad=i > 0
             )
         elif kind == "up":
             g, grads[f"{name}.w"], grads[f"{name}.b"] = upconv2d_backward(entry, t[f"{name}.w"], g)
@@ -505,18 +482,7 @@ def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray, *, inp
         else:  # concat
             g_skip, g = split_channels(g, entry)
             skip_grads.append(g_skip)
-    return {name: grads[name] for name in t}, g
-
-
-def unet_backward(params: UNetParams, x: np.ndarray, grad_out: np.ndarray):
-    """Full-network gradients of sum(grad_out * unet_forward(params, x)).
-
-    Returns (parameter gradient dict mirroring params.tensors, input gradient).
-    """
-    out, cache = unet_forward_cached(params, x)
-    if grad_out.shape != out.shape:
-        raise ValueError(f"grad_out shape {grad_out.shape} != output {out.shape}")
-    return unet_backward_cached(params, cache, grad_out)
+    return {name: grads[name] for name in t}
 
 
 # ---------------------------------------------------------------------------

@@ -30,10 +30,8 @@ from .movie_store import _atomic_write
 from .tensor_nn import (
     UNetConfig,
     UNetParams,
-    crop_spatial,
     init_params,
     mse_loss,
-    pad_spatial,
     round_half_up_uint8,
     unet_backward_cached,
     unet_forward,
@@ -155,8 +153,9 @@ def _stack_inputs(blocks: list[np.ndarray], cfg: UNetConfig, multiple: int = 1) 
 def _batch_forward(params: UNetParams, blocks: list[np.ndarray]) -> np.ndarray:
     """Cache-free forward on the stacked input ``blocks``, zero-padded to the
     U-Net's multiple and cropped back to their grid."""
+    h, w = blocks[0].shape[-2:]
     x = _stack_inputs(blocks, params.config, params.config.spatial_multiple)
-    return crop_spatial(unet_forward(params, x), blocks[0].shape[-2:])
+    return unet_forward(params, x)[:, :, :h, :w]
 
 
 def _loss_scale(cfg: UNetConfig) -> float:
@@ -170,25 +169,27 @@ def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGD
     ``enc0.conv1``'s weight gradient reads it again, as the backward's last
     step, so once the forward returns the cache holds a rebuild of it from the
     clips instead: the same values, stacked again there. The targets are
-    stacked only after the forward, and the loss gradient reuses the
-    difference's buffer. The prediction, cache and gradients all die when it
-    returns, so none of them is held while validation runs."""
+    stacked only after the forward, and the loss gradient is written into the
+    prediction's own padded array. The prediction, cache and gradients all
+    die when it returns, so none of them is held while validation runs."""
     cfg = state.params.config
     stack = functools.partial(_stack_inputs, [c.input for c in batch], cfg, cfg.spatial_multiple)
     out, cache = unet_forward_cached(state.params, stack())
     cache[0] = stack
     y = _stack_inputs([c.target for c in batch], cfg)
-    loss, grad_pred = mse_loss(crop_spatial(out, y.shape[-2:]), y)
-    del out, y  # the backward pass reads only the cache and grad_out
+    h, w = y.shape[-2:]
+    loss, grad_pred = mse_loss(out[:, :, :h, :w], y)
+    del y
     if not math.isfinite(loss):
         raise NumericalError(
             f"non-finite training loss at epoch {state.epoch} step {state.step}"
         )
-    # the gradient of a crop is a zero pad
-    grad_out, _ = pad_spatial(grad_pred, cfg.spatial_multiple)
+    # the gradient of a crop is a zero pad, as _stack_inputs pads the input
+    out[:, :, :h, :w] = grad_pred
+    out[:, :, h:] = 0
+    out[:, :, :h, w:] = 0
     del grad_pred
-    grads, _ = unet_backward_cached(state.params, cache, grad_out, input_grad=False)
-    sgd_step(state, grads, lr, sgd_config.momentum)
+    sgd_step(state, unet_backward_cached(state.params, cache, out), lr, sgd_config.momentum)
     return loss
 
 

@@ -177,6 +177,21 @@ def test_slot_avg_baseline_rejects_model_on_other_grid(pipeline_dirs, tmp_path, 
     assert not out.exists() and not model_file.exists()
 
 
+@pytest.mark.parametrize("second_city_in", ["data", "train"])
+def test_slot_avg_baseline_rejects_two_cities(tmp_path, capsys, monkeypatch, second_city_in):
+    # one slot average over cities of values 10 and 200 would predict 105 for both
+    dirs = {"data": tmp_path / "data", "train": tmp_path / "train"}
+    run("synth", "--kind", "constant", "--value", 10, "--shape", "48,3,4,4", "--city", "a", "--out", dirs["data"])
+    run("synth", "--kind", "constant", "--value", 200, "--shape", "48,3,4,4", "--city", "b",
+        "--out", dirs[second_city_in])
+    train_args = ("--train", dirs["train"]) if second_city_in == "train" else ()
+    monkeypatch.setattr(cli.movie_store.MovieReader, "read_frames", lambda *a: pytest.fail("a frame was read"))
+    out = tmp_path / "avg"
+    assert run("baseline", "--kind", "slot_avg", *train_args, "--data", dirs["data"], "--out", out) == 2
+    assert "the slot average is strictly per city; --train and --data hold ['a', 'b']" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_evaluate_identical_dirs_reports_zero(pipeline_dirs, tmp_path, capsys):
     data, slots = pipeline_dirs
     out = tmp_path / "truth"
@@ -725,6 +740,33 @@ def test_train_rejects_days_on_different_grids(pipeline_dirs, tmp_path, capsys):
     ckpt = tmp_path / "x.unp"
     assert run("train", "--config", train_config(tmp_path), "--data", data, "--out", ckpt) == 2
     assert "q_2019-05-02.tmm: grid (c, h, w) (3, 6, 8) differs from" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize(
+    "short_day, data, message",
+    [(None, {"train_on_test_slots_only": True, "test_slots_file": "slots.txt"},
+      "no training clip in 2 days at stride 8 and the slots of slots.txt"),
+     ("2019-05-04", {"val_dates": ["2019-05-04"], "val_stride": 2}, "no validation clip in 1 days at stride 2")],
+    ids=["train", "val"],
+)
+def test_train_rejects_an_empty_clip_selection_before_reading_a_clip(
+    pipeline_dirs, tmp_path, capsys, monkeypatch, short_day, data, message
+):
+    data_dir, _ = pipeline_dirs  # three 48-frame days: first predicted slots 12..45
+    if short_day is not None:  # 14 frames hold no 15-frame clip
+        run("synth", "--kind", "constant", "--shape", "14,3,8,8", "--city", "q", "--start-date", short_day,
+            "--out", data_dir / f"q_{short_day}.tmm")
+    (tmp_path / "slots.txt").write_text("100\n")
+    path = train_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["data"].update(data)
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(dataset, "load_clip", lambda *a: pytest.fail("a clip was read"))
+    monkeypatch.chdir(tmp_path)
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data_dir, "--out", ckpt) == 2
+    assert message in capsys.readouterr().err
     assert not ckpt.exists()
 
 

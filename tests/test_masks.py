@@ -1,4 +1,5 @@
 import contextlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,25 @@ def test_matches_brute_force_oracle(store):
         mask = build_mask(movies, threshold)
         brute = np.stack(raws).max(axis=(0, 1, 2)) > threshold
         assert np.array_equal(mask.active, brute)
+
+
+def test_reads_each_day_once_and_holds_one_day_at_a_time(store):
+    days = [np.full((100, 3, 40, 40), i, np.uint8) for i in range(3)]  # 480,000 B each
+    movies = [store(raw, name=f"{i}.tmm", day=f"2019-03-{i+1:02d}") for i, raw in enumerate(days)]
+    del days
+    calls = []
+    for m in movies:
+        read_frames = m.read_frames
+        m.read_frames = lambda *a, read_frames=read_frames: calls.append(a) or read_frames(*a)
+    tracemalloc.start()
+    try:
+        mask = build_mask(movies, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == [(0, 100)] * 3
+    assert mask.active.all() and mask.source_span == 300
+    assert peak < 1.5 * 480_000, peak  # a day outliving its max would hold two
 
 
 def test_threshold_monotonicity(store):

@@ -181,7 +181,7 @@ def test_upconv_backward_finite_difference(seed):
 
 
 # ---------------------------------------------------------------------------
-# concat / pad / mse / clamp
+# concat / mse / rounding
 
 def test_concat_and_split_shapes():
     a = np.zeros((2, 4, 3, 3))
@@ -196,23 +196,6 @@ def test_concat_and_split_shapes():
 def test_concat_rejects_mismatch():
     with pytest.raises(ValueError):
         tn.concat_channels(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 4)))
-
-
-def test_pad_spatial_to_multiple_16():
-    x = np.zeros((1, 3, 495, 436))
-    padded, hw = tn.pad_spatial(x, 16)
-    assert padded.shape == (1, 3, 496, 448)
-    assert hw == (495, 436)
-    aligned, hw2 = tn.pad_spatial(np.zeros((1, 3, 32, 48)), 16)
-    assert aligned.shape == (1, 3, 32, 48) and hw2 == (32, 48)
-
-
-def test_crop_inverts_pad():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(2, 3, 13, 22))
-    padded, hw = tn.pad_spatial(x, 8)
-    assert np.array_equal(tn.crop_spatial(padded, hw), x)
-    assert np.all(padded[..., 13:, :] == 0) and np.all(padded[..., :, 22:] == 0)
 
 
 def test_mse_loss_values():
@@ -238,8 +221,8 @@ def test_mse_loss_gradient_rounds_as_the_textbook_expression(dtype, shape):
     assert np.array_equal(grad, 2.0 * diff / diff.size)
 
 
-def test_clamp_255():
-    assert tn.clamp_255(np.array([-3.0, 300.0, 128.0])).tolist() == [0.0, 255.0, 128.0]
+def test_round_half_up_uint8_clamps_to_0_255():
+    assert tn.round_half_up_uint8(np.array([-3.0, 300.0, 128.0])).tolist() == [0, 255, 128]
     assert tn.round_half_up_uint8(np.array([19.5, -3.0, 300.0])).tolist() == [20, 0, 255]
 
 
@@ -291,8 +274,8 @@ def test_unet_channel_bookkeeping():
 def test_unet_backward_zero_grad_out():
     params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
     x = np.random.default_rng(2).normal(size=(1, 4, 8, 8))
-    grads, gx = tn.unet_backward(params, x, np.zeros((1, 2, 8, 8)))
-    assert not gx.any()
+    _, cache = tn.unet_forward_cached(params, x)
+    grads = tn.unet_backward_cached(params, cache, np.zeros((1, 2, 8, 8)))
     assert all(not g.any() for g in grads.values())
 
 
@@ -300,18 +283,17 @@ def test_unet_grad_shapes_mirror_params():
     params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
     x = np.random.default_rng(3).normal(size=(2, 4, 8, 8))
     go = np.random.default_rng(4).normal(size=(2, 2, 8, 8))
-    grads, gx = tn.unet_backward(params, x, go)
+    _, cache = tn.unet_forward_cached(params, x)
+    grads = tn.unet_backward_cached(params, cache, go)
     assert list(grads) == list(params.tensors)
     for name in grads:
         assert grads[name].shape == params.tensors[name].shape
-    assert gx.shape == x.shape
 
 
 def test_unet_backward_without_input_grad_skips_only_the_first_conv(monkeypatch):
     params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
     x = np.random.default_rng(3).normal(size=(2, 4, 8, 8))
     go = np.random.default_rng(4).normal(size=(2, 2, 8, 8))
-    grads, _ = tn.unet_backward(params, x, go)
     skipped = []
     conv2d_backward = tn.conv2d_backward
 
@@ -321,26 +303,26 @@ def test_unet_backward_without_input_grad_skips_only_the_first_conv(monkeypatch)
 
     monkeypatch.setattr(tn, "conv2d_backward", spy)  # the module global, as a tracer wraps it
     _, cache = tn.unet_forward_cached(params, x)
-    lean, gx = tn.unet_backward_cached(params, cache, go, input_grad=False)
-    assert gx is None
+    grads = tn.unet_backward_cached(params, cache, go)
+    assert type(grads) is dict and list(grads) == list(params.tensors)
     assert skipped[-1] and not any(skipped[:-1])  # only enc0.conv1, which runs last
-    assert all(np.array_equal(lean[name], grads[name]) for name in grads)
     k = params.tensors["enc0.conv1.w"]
     assert conv2d_backward(x, k, np.ones((2, 3, 8, 8)), input_grad=False)[0] is None
 
 
 def test_unet_backward_finite_difference():
+    # every parameter; enc0.conv1.w's gradient reads the whole chain down to the first conv
     cfg = tn.UNetConfig(depth=2, in_channels=2, out_channels=1, base_channels=3)
     params = tn.init_params(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(7)
     x = rng.normal(size=(1, 2, 8, 8))
     go = rng.normal(size=(1, 1, 8, 8))
-    grads, gx = tn.unet_backward(params, x, go)
+    _, cache = tn.unet_forward_cached(params, x)
+    grads = tn.unet_backward_cached(params, cache, go)
     loss = lambda: float(np.sum(go * tn.unet_forward(params, x)))
-    for name in ("enc0.conv1.w", "enc1.conv2.b", "up0.w", "dec0.conv1.w", "head.w"):
-        numeric = numeric_grad(loss, params.tensors[name], eps=1e-5)
+    for name, arr in params.tensors.items():
+        numeric = numeric_grad(loss, arr, eps=1e-5)
         assert max_rel_err(grads[name], numeric) < 1e-4, name
-    assert max_rel_err(gx, numeric_grad(loss, x, eps=1e-5)) < 1e-4
 
 
 def test_unet_forward_deterministic():
