@@ -110,11 +110,12 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     start = _date.fromisoformat(args.start_date)
     single = args.days == 1 and out.suffix == ".tmm"
+    # a movie is a function of kind, seed, shape and value: every day is this one
+    movie = dataset.synth_movie(args.kind, args.seed, shape, value=args.value or 0)
+    if not single:  # made once the movie exists, so a rejected one leaves nothing
+        out.mkdir(parents=True, exist_ok=True)
     for i in range(args.days):
         day = (start + timedelta(days=i)).isoformat()
-        movie = dataset.synth_movie(args.kind, args.seed, shape, value=args.value or 0)
-        if not single:  # made once the first movie exists, so a rejected one leaves nothing
-            out.mkdir(parents=True, exist_ok=True)
         path = out if single else out / f"{args.city}_{day}.tmm"
         movie_store.ingest(movie, args.city, day, path)
         print(f"wrote {path}")
@@ -130,7 +131,7 @@ class DataConfig:
     val_stride: int | None = None  # None: stride
     train_dates: list[str] | None = None  # both None: the last quarter of the days validates
     val_dates: list[str] | None = None
-    test_slots_file: str | None = None
+    test_slots_file: str | None = None  # relative: to the config file's directory
     train_on_test_slots_only: bool = False
 
     def __post_init__(self):
@@ -222,7 +223,10 @@ def cmd_train(args) -> int:
         dates = sorted({m.header.date for m in movies})
         train_dates, val_dates = _split_dates(dates, data_cfg)
         by_key = dataset.index_movies(movies)
-        test_slots = dataset.read_slots(data_cfg.test_slots_file) if data_cfg.test_slots_file else None
+        test_slots = None
+        if data_cfg.test_slots_file:  # a relative path starts at the config file's directory
+            slots_path = Path(args.config).parent / data_cfg.test_slots_file
+            test_slots = dataset.read_slots(slots_path, max(m.header.t for m in movies))
 
         train_movies = [m for m in movies if m.header.date in train_dates]
         val_movies = [m for m in movies if m.header.date in val_dates]
@@ -304,7 +308,8 @@ def _write_per_clip(args, what: str, make_frames) -> int:
     ``make_frames(stack, movies, specs)`` runs once before the loop and returns
     ``frames_of(spec, clip)``, which gives a clip's 3 frames; ``clip()`` loads
     the clip from its movie. ValueError, before ``--out`` is touched, if
-    ``--out`` is an input directory or the selection has no clip.
+    ``--out`` is an input directory, ``--slots`` holds a slot that no day
+    has, or the selection has no clip.
     """
     out_dir = Path(args.out)
     inputs = [Path(d).resolve() for d in (args.data, getattr(args, "train", None)) if d]
@@ -312,7 +317,7 @@ def _write_per_clip(args, what: str, make_frames) -> int:
         raise ValueError(f"--out {out_dir} is an input directory")
     with _atomic_dir(out_dir) as part, contextlib.ExitStack() as stack:
         movies = _open_movies(stack, Path(args.data))
-        slots = dataset.read_slots(args.slots) if args.slots else None
+        slots = dataset.read_slots(args.slots, max(m.header.t for m in movies)) if args.slots else None
         specs = dataset.enumerate_clips(movies, args.stride, slots)
         if not specs:
             raise ValueError(f"no clip of {args.data} matches --slots and --stride: no {what} to write")

@@ -128,13 +128,23 @@ def expand_time(sample: CollapsedSample) -> np.ndarray:
     return sample.data.reshape(sample.t, sample.c, h, w)
 
 
-def read_slots(path: str | Path) -> set[int]:
-    """Read a test-slot filter file: one integer slot index per line."""
+def read_slots(path: str | Path, t: int) -> set[int]:
+    """Read a test-slot filter file: one slot index per line, each in 0..t-1,
+    where ``t`` is the frame count of the longest day the slots select from.
+
+    ValueError naming the file and line of the first line that is not a
+    nonnegative decimal integer, then naming every slot that no day has."""
     slots = set()
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
-        if line:
-            slots.add(int(line))
+        if not line:
+            continue
+        if not (line.isascii() and line.isdigit()):
+            raise ValueError(f"{path}:{lineno}: {line!r} is not a slot")
+        slots.add(int(line))
+    past = sorted(s for s in slots if s >= t)
+    if past:
+        raise ValueError(f"{path}: slots {past} are in no day: the longest has {t} frames")
     return slots
 
 
@@ -147,10 +157,11 @@ def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: i
       slot_pattern  cell value is a pure function of (slot, channel, y, x), so
                     averaging a slot over any number of generated days
                     reproduces the frames exactly
-      random        uniform uint8 noise
+      random        uniform uint8 noise from PCG64's raw stream (``_random``)
 
-    The heading channel (index 2) of slot_pattern and random movies only takes
-    the four class values {0, 85, 170, 255}.
+    Each movie is a function of kind, seed, shape and value only. The heading
+    channel (index 2) of slot_pattern and random movies only takes the four
+    class values {0, 85, 170, 255}.
     """
     t, c, h, w = shape
     if min(shape) < 1:
@@ -163,26 +174,62 @@ def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: i
         ramp = (np.arange(t, dtype=np.uint32) % 256).astype(np.uint8)
         return np.broadcast_to(ramp[:, None, None, None], shape).copy()
     if kind == "random":
-        rng = np.random.default_rng(seed)
-        movie = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        if c > HEADING_CHANNEL:
-            classes = np.array(HEADING_CLASSES, dtype=np.uint8)
-            # one frame at a time: the same stream as one (t, h, w) draw,
-            # without its int64 temporary
-            for frame in movie:
-                frame[HEADING_CHANNEL] = classes[rng.integers(0, 4, size=(h, w))]
-        return movie
+        return _random(seed, shape)
     if kind == "slot_pattern":
         return _slot_pattern(t, c, h, w, seed)
     raise ValueError(f"unknown synth kind {kind!r}")
 
 
+_CHUNK_DRAWS = 1 << 18  # 64-bit draws per chunk: 2 MB
+
+
+def _random(seed, shape) -> np.ndarray:
+    """Uniform uint8 noise with a heading channel of classes, read straight
+    from ``PCG64(seed)``'s raw stream, whose values numpy guarantees for a
+    fixed seed.
+
+    The stream's 64-bit draws are read as ``<u8`` and split into ``<u4``
+    words, low half first, on any host. The first ceil(n/4) words are the
+    movie's n bytes, low byte first; the next t*h*w words are the heading
+    cells in (t, h, w) order, class ``85 * (word >> 30)``, over channel 2's
+    bytes. Those are the bytes of ``rng.integers(0, 256, shape, np.uint8)``
+    and then ``HEADING_CLASSES[rng.integers(0, 4, (t, h, w))]``: for a range
+    of 4, Lemire's method takes one word per cell and never rejects. Whole
+    draws are read a chunk at a time, in stream order, into the movie.
+    """
+    t, c, h, w = shape
+    movie = np.empty(shape, dtype=np.uint8)
+    flat = movie.reshape(-1)
+    byte_words = -(-flat.size // 4)
+    frame = h * w
+    total = byte_words + (t * frame if c > HEADING_CHANNEL else 0)
+    bitgen = np.random.default_rng(seed).bit_generator
+    for start in range(0, total, 2 * _CHUNK_DRAWS):  # start: the chunk's first word
+        draws = min(_CHUNK_DRAWS, -(-(total - start) // 2))
+        words = bitgen.random_raw(draws).astype("<u8", copy=False).view("<u4")
+        end = start + words.size
+        if start < byte_words:
+            stop = min(4 * end, flat.size)
+            flat[4 * start : stop] = words.view(np.uint8)[: stop - 4 * start]
+        if end > byte_words:
+            first = max(start, byte_words)  # the chunk's first heading word
+            classes = (words[first - start : total - start] >> 30).astype(np.uint8)
+            classes *= 85
+            cell = first - byte_words
+            while classes.size:  # the cells of one frame at a time
+                f, k = divmod(cell, frame)
+                n = min(frame - k, classes.size)
+                movie[f, HEADING_CHANNEL].reshape(-1)[k : k + n] = classes[:n]
+                classes, cell = classes[n:], cell + n
+    return movie
+
+
 def _slot_pattern(t, c, h, w, seed) -> np.ndarray:
     """Smooth per-slot pattern: short-period sinusoids in the slot index with
     a spatial phase field for the continuous channels, static class bands for
-    heading. Every value is a pure function of (slot, channel, y, x)."""
+    heading. Every value is a pure function of (slot, channel, y, x). The
+    float64 temporaries are one frame's, not the day's."""
     rng = np.random.default_rng(seed)
-    slots = np.arange(t, dtype=np.float64)
     yy, xx = np.mgrid[0:h, 0:w]
     spatial = (yy / h + xx / w) / 2.0  # in [0, 1)
 
@@ -191,14 +238,13 @@ def _slot_pattern(t, c, h, w, seed) -> np.ndarray:
     for ch in range(c):
         if ch == HEADING_CHANNEL:
             idx = (np.floor(4 * spatial) + rng.integers(0, 4)) % 4
-            movie[:, ch] = np.broadcast_to(
-                (85 * idx).astype(np.uint8), (t, h, w)
-            )
+            movie[:, ch] = (85 * idx).astype(np.uint8)
             continue
         period = periods[ch % len(periods)]
         amp = rng.uniform(70.0, 100.0)
-        phase_scale = rng.uniform(1.0, 2.0)
-        angle = 2 * np.pi * (slots[:, None, None] / period + phase_scale * spatial)
-        vals = np.floor(128.0 + amp * np.sin(angle) + 0.5)
-        movie[:, ch] = np.clip(vals, 0, 255).astype(np.uint8)
+        phase = rng.uniform(1.0, 2.0) * spatial
+        for s in range(t):
+            angle = 2 * np.pi * (np.float64(s) / period + phase)
+            vals = np.floor(128.0 + amp * np.sin(angle) + 0.5)
+            movie[s, ch] = np.clip(vals, 0, 255).astype(np.uint8)
     return movie

@@ -84,6 +84,26 @@ def test_synth_writes_days(tmp_path):
         assert np.array_equal(a.read_all(), b.read_all())  # same seed per day
 
 
+@pytest.mark.parametrize("kind", ["constant", "time_ramp", "slot_pattern", "random"])
+def test_synth_generates_one_movie_for_all_its_days(tmp_path, monkeypatch, kind):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return synth_movie(*args, **kwargs)
+
+    monkeypatch.setattr(dataset, "synth_movie", counting)
+    out = tmp_path / "days"
+    assert run("synth", "--kind", kind, "--seed", 9, "--shape", "20,3,5,7", "--days", 3, "--out", out) == 0
+    assert calls == [(kind, 9, (20, 3, 5, 7))]
+    expected = synth_movie(kind, 9, (20, 3, 5, 7))
+    paths = sorted(out.glob("*.tmm"))
+    assert len(paths) == 3
+    for p in paths:
+        with open_movie(p) as m:
+            assert np.array_equal(m.read_all(), expected)
+
+
 def test_mask_threshold_zero_on_zero_movie(tmp_path):
     data = tmp_path / "data"
     data.mkdir()
@@ -127,7 +147,7 @@ def test_baseline_zero_outputs_all_zero(pipeline_dirs, tmp_path):
 def test_a_selection_of_no_clip_exits_2_and_creates_no_out_dir(pipeline_dirs, tmp_path, capsys, monkeypatch, command):
     data, _ = pipeline_dirs  # 48-frame days: first predicted slots 12..45
     slots = tmp_path / "far.txt"
-    slots.write_text("3\n500\n")
+    slots.write_text("3\n46\n")  # in every day, first predicted by no clip
     cfg = tn.UNetConfig(depth=1, in_channels=36, out_channels=9, base_channels=2)
     ckpt = tn.save_params(tn.init_params(cfg, 0), tmp_path / "a.unp")
     ckpt_args = ("--ckpt", ckpt) if command[0] == "predict" else ()
@@ -137,6 +157,36 @@ def test_a_selection_of_no_clip_exits_2_and_creates_no_out_dir(pipeline_dirs, tm
     assert run(*command, *ckpt_args, "--data", data, "--slots", slots, "--out", out) == 2
     assert "no clip of" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [("predict",), ("targets",), ("baseline", "--kind", "persistence"),
+     ("baseline", "--kind", "zero"), ("baseline", "--kind", "slot_avg")],
+    ids=["predict", "targets", "persistence", "zero", "slot_avg"],
+)
+@pytest.mark.parametrize(
+    "lines, message",
+    [("20\nabc\n", "far.txt:2: 'abc' is not a slot"), ("20\n\n-5\n", "far.txt:3: '-5' is not a slot"),
+     ("900\n20\n48\n", "far.txt: slots [48, 900] are in no day: the longest has 48 frames")],
+    ids=["malformed", "negative", "past_every_day"],
+)
+def test_a_slots_file_of_no_slots_exits_2_before_a_clip_is_read(
+    pipeline_dirs, tmp_path, capsys, monkeypatch, command, lines, message
+):
+    data, _ = pipeline_dirs  # 48-frame days
+    slots = tmp_path / "far.txt"
+    slots.write_text(lines)
+    cfg = tn.UNetConfig(depth=1, in_channels=36, out_channels=9, base_channels=2)
+    ckpt = tn.save_params(tn.init_params(cfg, 0), tmp_path / "a.unp")
+    ckpt_args = ("--ckpt", ckpt) if command[0] == "predict" else ()
+    monkeypatch.setattr(dataset, "load_clip", lambda *a: pytest.fail("a clip was read"))
+    monkeypatch.setattr(cli, "_check_channels", lambda *_: pytest.fail("make_frames ran"))
+    monkeypatch.setattr(cli.baselines, "time_slot_average", lambda *_: pytest.fail("make_frames ran"))
+    out = tmp_path / "out"
+    assert run(*command, *ckpt_args, "--data", data, "--slots", slots, "--out", out) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() and not Path(f"{out}.part").exists()
 
 
 def test_slot_avg_baseline_matches_library(pipeline_dirs, tmp_path):
@@ -757,7 +807,7 @@ def test_train_rejects_an_empty_clip_selection_before_reading_a_clip(
     if short_day is not None:  # 14 frames hold no 15-frame clip
         run("synth", "--kind", "constant", "--shape", "14,3,8,8", "--city", "q", "--start-date", short_day,
             "--out", data_dir / f"q_{short_day}.tmm")
-    (tmp_path / "slots.txt").write_text("100\n")
+    (tmp_path / "slots.txt").write_text("5\n")  # in every day, first predicted by no clip
     path = train_config(tmp_path)
     cfg = json.loads(path.read_text())
     cfg["data"].update(data)
@@ -768,6 +818,37 @@ def test_train_rejects_an_empty_clip_selection_before_reading_a_clip(
     assert run("train", "--config", path, "--data", data_dir, "--out", ckpt) == 2
     assert message in capsys.readouterr().err
     assert not ckpt.exists()
+
+
+def test_train_rejects_a_slot_that_no_day_has_before_reading_a_clip(pipeline_dirs, tmp_path, capsys, monkeypatch):
+    data_dir, _ = pipeline_dirs  # three 48-frame days
+    (tmp_path / "slots.txt").write_text("20\n48\n100\n")
+    path = train_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["data"]["test_slots_file"] = "slots.txt"
+    path.write_text(json.dumps(cfg))
+    monkeypatch.setattr(dataset, "load_clip", lambda *a: pytest.fail("a clip was read"))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", data_dir, "--out", ckpt) == 2
+    assert "slots.txt: slots [48, 100] are in no day: the longest has 48 frames" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+def test_train_reads_a_relative_slots_file_from_the_config_files_directory(pipeline_dirs, tmp_path, monkeypatch):
+    data_dir, _ = pipeline_dirs
+    cfg_dir = tmp_path / "cfg"
+    cfg_dir.mkdir()
+    (cfg_dir / "slots.txt").write_text("36\n")
+    path = train_config(cfg_dir, epochs=1)
+    cfg = json.loads(path.read_text())
+    cfg["data"].update({"test_slots_file": "slots.txt", "train_on_test_slots_only": True})
+    path.write_text(json.dumps(cfg))
+    seen = []
+    train = trainer.train
+    monkeypatch.setattr(trainer, "train", lambda *a: seen.append(a[4]) or train(*a))
+    monkeypatch.chdir(tmp_path)  # cfg/'s parent, whose slots.txt holds 20 and 28
+    assert run("train", "--config", "cfg/config.json", "--data", data_dir, "--out", tmp_path / "x.unp") == 0
+    assert seen == [{36}]
 
 
 class _WeightsDrawn(Exception):

@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -149,7 +152,25 @@ def test_expand_shape_and_divisibility():
 def test_slots_file_roundtrip(tmp_path):
     path = tmp_path / "slots.txt"
     path.write_text("30\n12\n\n 100 \n")
-    assert read_slots(path) == {12, 30, 100}
+    assert read_slots(path, 288) == {12, 30, 100}
+    assert read_slots(path, 101) == {12, 30, 100}
+
+
+@pytest.mark.parametrize("line", ["abc", "-5", "+5", "1_000", "2.0", "\u0663"])
+def test_read_slots_names_the_file_and_line_of_a_line_that_is_no_slot(tmp_path, line):
+    path = tmp_path / "slots.txt"
+    path.write_text(f"20\n\n{line}\n30\n")
+    with pytest.raises(ValueError) as e:
+        read_slots(path, 288)
+    assert str(e.value) == f"{path}:3: {line!r} is not a slot"
+
+
+def test_read_slots_names_every_slot_that_no_day_has(tmp_path):
+    path = tmp_path / "slots.txt"
+    path.write_text("900\n20\n48\n47\n100\n")
+    with pytest.raises(ValueError) as e:
+        read_slots(path, 48)
+    assert str(e.value) == f"{path}: slots [48, 100, 900] are in no day: the longest has 48 frames"
 
 
 @pytest.mark.parametrize("value", [-1, 256, 300])
@@ -182,15 +203,96 @@ def test_synth_random_heading_classes():
     assert np.array_equal(movie, synth_movie("random", 3, (10, 3, 6, 6)))
 
 
-@pytest.mark.parametrize("shape", [(5, 3, 3, 5), (4, 3, 6, 6)])  # odd and even h*w
-def test_synth_random_keeps_its_stream(shape):
-    # the one-shot algorithm the per-frame heading draw replaced
-    rng = np.random.default_rng(11)
-    t, _, h, w = shape
+def _random_by_integers(seed, shape):
+    """The ``Generator.integers`` draw that ``_random`` reads from the raw stream."""
+    rng = np.random.default_rng(seed)
+    t, c, h, w = shape
     old = rng.integers(0, 256, size=shape, dtype=np.uint8)
-    classes = np.array(dataset.HEADING_CLASSES, dtype=np.uint8)
-    old[:, dataset.HEADING_CHANNEL] = classes[rng.integers(0, 4, size=(t, h, w))]
-    assert np.array_equal(synth_movie("random", 11, shape), old)
+    if c > dataset.HEADING_CHANNEL:
+        classes = np.array(dataset.HEADING_CLASSES, dtype=np.uint8)
+        old[:, dataset.HEADING_CHANNEL] = classes[rng.integers(0, 4, size=(t, h, w))]
+    return old
+
+
+# ceil(t*c*h*w / 4) odd, so the heading starts at the last byte draw's high
+# half, and even; c from 1 to 4; odd and even h*w; and (3, 3, 500, 701), whose
+# 788,625 byte words and 1,051,500 heading words take 4 chunks, one with both
+_STREAM_SHAPES = [
+    (5, 3, 3, 5), (4, 3, 6, 6), (1, 3, 1, 1), (3, 1, 5, 7), (3, 2, 5, 7), (3, 4, 5, 7), (2, 3, 4, 4),
+    (3, 3, 500, 701),
+]
+
+
+@pytest.mark.parametrize("shape", _STREAM_SHAPES)
+def test_synth_random_keeps_its_stream(shape):
+    assert np.array_equal(synth_movie("random", 11, shape), _random_by_integers(11, shape))
+
+
+@pytest.mark.parametrize("draws", [1, 2, 3, 7])
+@pytest.mark.parametrize("shape", _STREAM_SHAPES[:-1])
+def test_synth_random_keeps_its_stream_in_chunks_of_any_size(monkeypatch, shape, draws):
+    # chunk ends in every place: inside a frame, on the byte/heading boundary
+    monkeypatch.setattr(dataset, "_CHUNK_DRAWS", draws)
+    assert np.array_equal(synth_movie("random", 5, shape), _random_by_integers(5, shape))
+
+
+def test_synth_random_bytes_are_pinned():
+    movie = synth_movie("random", 11, (7, 4, 33, 17))
+    assert hashlib.sha256(movie.data).hexdigest() == (
+        "1a2164f671391082634a27765d14ed33ec0137eb46d7befb143fc85947b17d24"
+    )
+
+
+def test_synth_random_holds_little_beside_the_movie():
+    shape = (6, 3, 600, 500)  # 5.4 MB, larger than a 2 MB chunk
+    synth_movie("random", 2, (1, 3, 1, 1))  # numpy's first-call set-up, not traced
+    tracemalloc.start()
+    try:
+        movie = synth_movie("random", 2, shape)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - movie.nbytes <= 16 * 2**20
+
+
+def _slot_pattern_broadcast(t, c, h, w, seed):
+    """The whole-day formulation that ``_slot_pattern``'s per-frame loop replaced."""
+    rng = np.random.default_rng(seed)
+    slots = np.arange(t, dtype=np.float64)
+    yy, xx = np.mgrid[0:h, 0:w]
+    spatial = (yy / h + xx / w) / 2.0
+    movie = np.empty((t, c, h, w), dtype=np.uint8)
+    periods = (7.0, 5.0, 11.0, 4.0)
+    for ch in range(c):
+        if ch == dataset.HEADING_CHANNEL:
+            idx = (np.floor(4 * spatial) + rng.integers(0, 4)) % 4
+            movie[:, ch] = np.broadcast_to((85 * idx).astype(np.uint8), (t, h, w))
+            continue
+        period = periods[ch % len(periods)]
+        amp = rng.uniform(70.0, 100.0)
+        phase_scale = rng.uniform(1.0, 2.0)
+        angle = 2 * np.pi * (slots[:, None, None] / period + phase_scale * spatial)
+        vals = np.floor(128.0 + amp * np.sin(angle) + 0.5)
+        movie[:, ch] = np.clip(vals, 0, 255).astype(np.uint8)
+    return movie
+
+
+@pytest.mark.parametrize("shape", [(288, 3, 8, 8), (30, 1, 5, 7), (13, 2, 9, 4), (50, 4, 11, 13), (1, 3, 1, 1)])
+@pytest.mark.parametrize("seed", [0, 11, 12345])
+def test_synth_slot_pattern_matches_its_whole_day_formulation(shape, seed):
+    assert np.array_equal(synth_movie("slot_pattern", seed, shape), _slot_pattern_broadcast(*shape, seed))
+
+
+def test_synth_slot_pattern_holds_one_frame_of_temporaries():
+    t, c, h, w = 288, 3, 64, 64
+    synth_movie("slot_pattern", 4, (1, c, h, w))  # numpy's first-call set-up, not traced
+    tracemalloc.start()
+    try:
+        movie = synth_movie("slot_pattern", 4, (t, c, h, w))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - movie.nbytes <= 12 * h * w * 8  # a dozen float64 frames; the day's are 288 each
 
 
 def test_synth_rejects_unknown_kind():
