@@ -1,6 +1,7 @@
 """Command-line pipeline: ingest, synth, train, predict, baseline, evaluate, mask.
 
-Exit codes: 0 success, 2 usage or data error, 3 numerical failure.
+Exit codes: 0 success, 2 usage or data error or a request for more memory than
+the host gives, 3 numerical failure.
 
 The train command reads a single JSON config with three optional sections,
 "unet", "sgd" and "data". The fields of ``tensor_nn.UNetConfig``,
@@ -368,7 +369,12 @@ def cmd_baseline(args) -> int:
 
 
 def cmd_targets(args) -> int:
-    return _write_per_clip(args, "target", lambda *_: lambda spec, clip: clip().target)
+    def make_frames(stack, movies, specs):
+        by_key = dataset.index_movies(movies)  # a clip's 3 target frames, not its 15
+        start, n = dataset.INPUT_FRAMES, dataset.TARGET_FRAMES
+        return lambda spec, clip: by_key[spec.city, spec.day].read_frames(spec.t_start + start, n)
+
+    return _write_per_clip(args, "target", make_frames)
 
 
 def cmd_evaluate(args) -> int:
@@ -491,6 +497,9 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        print(f"error: out of memory: {e}", file=sys.stderr)
         return 2
 
 

@@ -10,6 +10,8 @@ single channel stack, e.g. (12, 3, h, w) -> (36, h, w).
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -180,7 +182,7 @@ def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: i
     raise ValueError(f"unknown synth kind {kind!r}")
 
 
-_CHUNK_DRAWS = 1 << 18  # 64-bit draws per chunk: 2 MB
+_CHUNK_DRAWS = 1 << 16  # 64-bit draws per chunk: 512 KB
 
 
 def _random(seed, shape) -> np.ndarray:
@@ -194,34 +196,87 @@ def _random(seed, shape) -> np.ndarray:
     cells in (t, h, w) order, class ``85 * (word >> 30)``, over channel 2's
     bytes. Those are the bytes of ``rng.integers(0, 256, shape, np.uint8)``
     and then ``HEADING_CLASSES[rng.integers(0, 4, (t, h, w))]``: for a range
-    of 4, Lemire's method takes one word per cell and never rejects. Whole
-    draws are read a chunk at a time, in stream order, into the movie.
+    of 4, Lemire's method takes one word per cell and never rejects.
+
+    The draws are split into contiguous parts of whole chunks, one per
+    available core and at most one per chunk. Each part (``_random_draws``)
+    runs on its own thread, the first on the caller's, with its own
+    ``PCG64(seed)`` jumped ahead to the part's first draw (``advance``,
+    O(log n)). The byte words skip channel 2's bytes, which the heading
+    classes set, so every byte of the movie has one writer and no part waits
+    for another. The bytes do not depend on the part count. Every thread is
+    joined before this returns or raises, and a part's exception is raised
+    here.
     """
-    t, c, h, w = shape
     movie = np.empty(shape, dtype=np.uint8)
+    draws = -(-_stream_words(shape) // 2)
+    chunks = -(-draws // _CHUNK_DRAWS)
+    parts = min(len(os.sched_getaffinity(0)), chunks)
+    bounds = [chunks * k // parts * _CHUNK_DRAWS for k in range(parts)] + [draws]
+    errors = []
+
+    def part(first, stop):
+        try:
+            _random_draws(seed, movie, first, stop)
+        except Exception as e:  # raised in the caller once every part has ended
+            errors.append(e)
+
+    workers = []
+    try:
+        for first, stop in zip(bounds[1:], bounds[2:]):
+            worker = threading.Thread(target=part, args=(first, stop))
+            worker.start()
+            workers.append(worker)
+        _random_draws(seed, movie, bounds[0], bounds[1])  # the first part, on this thread
+    finally:
+        for worker in workers:
+            worker.join()
+    if errors:
+        raise errors[0]
+    return movie
+
+
+def _stream_words(shape) -> int:
+    """The raw stream's 32-bit words that ``_random`` reads for ``shape``:
+    ceil(n/4) byte words, then one word per heading cell."""
+    t, c, h, w = shape
+    return -(-(t * c * h * w) // 4) + (t * h * w if c > HEADING_CHANNEL else 0)
+
+
+def _random_draws(seed, movie, first, stop):
+    """Write draws ``first`` to ``stop - 1`` of ``PCG64(seed)``'s raw stream
+    into ``movie`` as ``_random`` lays them out, a chunk of draws at a time.
+    Byte words skip the heading channel's bytes, if the movie has one."""
+    c, h, w = movie.shape[1:]
     flat = movie.reshape(-1)
-    byte_words = -(-flat.size // 4)
     frame = h * w
-    total = byte_words + (t * frame if c > HEADING_CHANNEL else 0)
+    byte_words = -(-flat.size // 4)
+    total = _stream_words(movie.shape)
     bitgen = np.random.default_rng(seed).bit_generator
-    for start in range(0, total, 2 * _CHUNK_DRAWS):  # start: the chunk's first word
-        draws = min(_CHUNK_DRAWS, -(-(total - start) // 2))
-        words = bitgen.random_raw(draws).astype("<u8", copy=False).view("<u4")
-        end = start + words.size
+    bitgen.advance(first)
+    for d in range(first, stop, _CHUNK_DRAWS):
+        words = bitgen.random_raw(min(_CHUNK_DRAWS, stop - d)).astype("<u8", copy=False).view("<u4")
+        start, end = 2 * d, 2 * d + words.size  # the chunk's words
         if start < byte_words:
-            stop = min(4 * end, flat.size)
-            flat[4 * start : stop] = words.view(np.uint8)[: stop - 4 * start]
+            data = words.view(np.uint8)
+            p, stop_byte = 4 * start, min(4 * end, flat.size)
+            while p < stop_byte:  # the bytes of one (frame, channel) plane at a time
+                plane, k = divmod(p, frame)
+                n = min(frame - k, stop_byte - p)
+                if c <= HEADING_CHANNEL or plane % c != HEADING_CHANNEL:
+                    flat[p : p + n] = data[p - 4 * start : p - 4 * start + n]
+                p += n
         if end > byte_words:
-            first = max(start, byte_words)  # the chunk's first heading word
-            classes = (words[first - start : total - start] >> 30).astype(np.uint8)
-            classes *= 85
-            cell = first - byte_words
+            first_word = max(start, byte_words)  # the chunk's first heading word
+            classes = words[first_word - start : total - start]
+            classes >>= 30  # in place: a worker thread's heap keeps what it frees
+            cell = first_word - byte_words
             while classes.size:  # the cells of one frame at a time
                 f, k = divmod(cell, frame)
                 n = min(frame - k, classes.size)
-                movie[f, HEADING_CHANNEL].reshape(-1)[k : k + n] = classes[:n]
+                cells = movie[f, HEADING_CHANNEL].reshape(-1)[k : k + n]
+                np.multiply(classes[:n], 85, out=cells, casting="unsafe")
                 classes, cell = classes[n:], cell + n
-    return movie
 
 
 def _slot_pattern(t, c, h, w, seed) -> np.ndarray:

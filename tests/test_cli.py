@@ -540,6 +540,19 @@ def test_synth_rejects_what_it_cannot_store(tmp_path, capsys, argv, message):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out_name", ["days", "one.tmm"])
+def test_synth_beyond_memory_exits_2_and_writes_nothing(tmp_path, capsys, monkeypatch, out_name):
+    def beyond_memory(*args, **kwargs):  # what numpy raises, without the allocation
+        raise MemoryError("Unable to allocate 1.70 TiB for an array with shape (288, 3, 49500, 43600)")
+
+    monkeypatch.setattr(dataset, "synth_movie", beyond_memory)
+    out = tmp_path / out_name
+    assert run("synth", "--kind", "random", "--shape", "288,3,49500,43600", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Unable to allocate 1.70 TiB" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("kind", ["time_ramp", "slot_pattern", "random"])
 def test_synth_rejects_a_value_for_a_kind_that_has_none(tmp_path, capsys, kind):
     out = tmp_path / "days"
@@ -677,6 +690,25 @@ def test_evaluate_rejects_partial_file_sets(pipeline_dirs, tmp_path, capsys, sid
     assert run("evaluate", "--pred", dirs["pred"], "--truth", dirs["truth"], "--report", report) == 2
     assert "differ" in capsys.readouterr().err
     assert not report.exists()
+
+
+def test_targets_reads_only_the_target_frames(pipeline_dirs, tmp_path, monkeypatch):
+    data, _ = pipeline_dirs
+    opened = []
+    open_movies = cli._open_movies
+    monkeypatch.setattr(cli, "_open_movies", lambda *a: opened.extend(open_movies(*a)) or opened)
+    out = tmp_path / "truth"
+    assert run("targets", "--data", data, "--out", out) == 0
+    files = sorted(out.glob("*.tmm"))
+    assert len(files) == 3 * 34  # stride 1 over three 48-frame days
+    frame_bytes = 3 * 8 * 8
+    assert sum(m.payload_bytes_read for m in opened) == len(files) * 3 * frame_bytes
+    with contextlib.ExitStack() as stack:
+        movies = dataset.index_movies(open_movies(stack, data))
+        for spec, path in zip(dataset.enumerate_clips(list(movies.values())), files):
+            with open_movie(path) as m:
+                assert path.name == cli._clip_name(spec)
+                assert np.array_equal(m.read_all(), dataset.load_clip(spec, movies).target)
 
 
 def test_evaluate_reads_one_pair_at_a_time(pipeline_dirs, tmp_path, monkeypatch):

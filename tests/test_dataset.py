@@ -1,4 +1,6 @@
 import hashlib
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -216,11 +218,17 @@ def _random_by_integers(seed, shape):
 
 # ceil(t*c*h*w / 4) odd, so the heading starts at the last byte draw's high
 # half, and even; c from 1 to 4; odd and even h*w; and (3, 3, 500, 701), whose
-# 788,625 byte words and 1,051,500 heading words take 4 chunks, one with both
+# 788,625 byte words and 1,051,500 heading words take 15 chunks, one with both
 _STREAM_SHAPES = [
     (5, 3, 3, 5), (4, 3, 6, 6), (1, 3, 1, 1), (3, 1, 5, 7), (3, 2, 5, 7), (3, 4, 5, 7), (2, 3, 4, 4),
     (3, 3, 500, 701),
 ]
+
+
+def _cores(monkeypatch, n):
+    """Make ``_random`` see ``n`` available cores, so it splits its draws into
+    up to ``n`` parts."""
+    monkeypatch.setattr(dataset.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 @pytest.mark.parametrize("shape", _STREAM_SHAPES)
@@ -236,6 +244,44 @@ def test_synth_random_keeps_its_stream_in_chunks_of_any_size(monkeypatch, shape,
     assert np.array_equal(synth_movie("random", 5, shape), _random_by_integers(5, shape))
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+@pytest.mark.parametrize(
+    "shape, draws",
+    [(s, d) for s in _STREAM_SHAPES[:-1] for d in (1, 2, 3, 7)] + [(_STREAM_SHAPES[-1], dataset._CHUNK_DRAWS)],
+)
+def test_synth_random_keeps_its_stream_in_any_number_of_parts(monkeypatch, shape, draws, cores):
+    # part ends inside a frame, on the byte/heading boundary, inside the
+    # heading region; more cores than chunks on the smallest shapes
+    monkeypatch.setattr(dataset, "_CHUNK_DRAWS", draws)
+    _cores(monkeypatch, cores)
+    assert np.array_equal(synth_movie("random", 5, shape), _random_by_integers(5, shape))
+
+
+def _written(seed, movie_shape, first, stop):
+    """The bytes that ``_random_draws`` writes for draws first..stop-1: each
+    differs from a fill of 0 or from a fill of 255."""
+    written = np.zeros(movie_shape, bool)
+    for fill in (0, 255):
+        movie = np.full(movie_shape, fill, np.uint8)
+        dataset._random_draws(seed, movie, first, stop)
+        written |= movie != fill
+    return written
+
+
+@pytest.mark.parametrize("shape", [(5, 3, 3, 5), (4, 3, 6, 6), (3, 4, 5, 7), (3, 2, 5, 7)])
+def test_random_parts_split_at_any_draw_give_every_byte_one_writer(shape):
+    # ceil(n/4) odd and even, a channel after the heading one, and no heading
+    expected = _random_by_integers(7, shape)
+    draws = -(-dataset._stream_words(shape) // 2)
+    for split in range(draws + 1):
+        movie = np.empty(shape, np.uint8)
+        dataset._random_draws(7, movie, 0, split)
+        dataset._random_draws(7, movie, split, draws)
+        assert np.array_equal(movie, expected), split
+        before, after = _written(7, shape, 0, split), _written(7, shape, split, draws)
+        assert (before ^ after).all(), split
+
+
 def test_synth_random_bytes_are_pinned():
     movie = synth_movie("random", 11, (7, 4, 33, 17))
     assert hashlib.sha256(movie.data).hexdigest() == (
@@ -243,8 +289,9 @@ def test_synth_random_bytes_are_pinned():
     )
 
 
-def test_synth_random_holds_little_beside_the_movie():
-    shape = (6, 3, 600, 500)  # 5.4 MB, larger than a 2 MB chunk
+def test_synth_random_holds_little_beside_the_movie(monkeypatch):
+    shape = (6, 3, 600, 500)  # 5.4 MB, 25 chunks, in 4 parts that each hold their chunk
+    _cores(monkeypatch, 4)
     synth_movie("random", 2, (1, 3, 1, 1))  # numpy's first-call set-up, not traced
     tracemalloc.start()
     try:
@@ -253,6 +300,26 @@ def test_synth_random_holds_little_beside_the_movie():
     finally:
         tracemalloc.stop()
     assert peak - movie.nbytes <= 16 * 2**20
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["callers_part", "second_part", "last_part"])
+def test_a_failing_part_fails_synth_random_and_leaves_no_thread(monkeypatch, failing):
+    real = dataset._random_draws
+    firsts = [0, 4, 8]  # 3 parts of 4, 4 and 3 draws: 9 byte words, then 12 heading words
+
+    def one_part_fails(seed, movie, first, stop):
+        if first == firsts[failing]:
+            raise RuntimeError("part failed")
+        time.sleep(0.05)  # still running when the failing part has ended
+        real(seed, movie, first, stop)
+
+    monkeypatch.setattr(dataset, "_random_draws", one_part_fails)
+    monkeypatch.setattr(dataset, "_CHUNK_DRAWS", 4)
+    _cores(monkeypatch, 3)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="part failed"):
+        synth_movie("random", 1, (2, 3, 3, 2))
+    assert threading.active_count() == threads
 
 
 def _slot_pattern_broadcast(t, c, h, w, seed):
