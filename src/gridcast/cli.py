@@ -93,6 +93,14 @@ def cmd_inspect(args) -> int:
             f"{args.file}: city={h.city} date={h.date} t={h.t} c={h.c} "
             f"h={h.h} w={h.w} payload={h.payload_bytes}B"
         )
+        if h.date == "MASK":
+            mask = masks.load_mask(args.file)
+            print(
+                f"mask: threshold={mask.threshold} source_span={mask.source_span} "
+                f"active={np.count_nonzero(mask.active)} of {mask.active.size} pixels"
+            )
+        elif h.date == "MODEL":
+            print(f"slot-average model: slots={','.join(map(str, baselines.load_model(args.file).slots))}")
         if args.dump:
             with movie_store._atomic_write(args.dump) as f:
                 np.save(f, m.read_all())
@@ -429,7 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--out", required=True)
     sp.set_defaults(func=cmd_ingest)
 
-    sp = sub.add_parser("inspect", help="print a movie header or checkpoint tensors; optionally dump a movie's frames")
+    sp = sub.add_parser(
+        "inspect",
+        help="print a movie header (and a mask's or slot-average model's contents) or checkpoint tensors; "
+        "optionally dump a movie's frames",
+    )
     sp.add_argument("file")
     sp.add_argument("--dump", help="write the dense array in .npy format to this path, as given")
     sp.set_defaults(func=cmd_inspect)

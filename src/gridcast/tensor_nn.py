@@ -1,8 +1,20 @@
 """From-scratch dense CNN kernels and a configurable-depth U-Net.
 
-All kernels operate on plain numpy arrays in (n, c, h, w) layout and come in
-forward/backward pairs whose gradients are exact (validated against central
-finite differences in float64). Conventions:
+All kernels take and return (n, c, h, w) arrays and come in forward/backward
+pairs whose gradients are exact (validated against central finite differences
+in float64).
+
+Activations live in the *ringed* layout: an (n, c, h, w) activation is the
+interior view of a channel-major (c, n, h+2, w+2) buffer whose one-pixel ring
+is all zero, exactly the zero padding a 3x3 conv reads. A conv uses a ringed
+input's buffer as its padded operand and writes its output straight into a
+fresh ringed buffer, so no layer pads, crops or copies between kernels, and a
+concat is two contiguous channel blocks. The invariant: only the kernel that
+makes a ringed buffer writes its ring. A kernel trusts a buffer only after it
+has checked that the ring is zero (``_ring``); any other array, plain or a
+look-alike view, is padded into a copy. Every activation or gradient a kernel
+returns is ringed, and ``ringed_empty`` gives callers an input to fill. The
+ReLUs work in place on the array they are given. Conventions:
 
   * convolutions are cross-correlations with zero same-padding, stride 1,
     odd kernel sizes, computed per band of flat positions of the whole padded
@@ -10,7 +22,8 @@ finite differences in float64). Conventions:
     column taps in its output rows, and kw-1 shifted adds sum them; results
     are bit-reproducible for fixed array shapes, band budget
     (``_BAND_ELEMENTS``) and BLAS thread count, but the summation order inside
-    each product is BLAS's own
+    each product is BLAS's own; bias gradients sum each channel's whole padded
+    buffer, and an up-conv's weight gradient sums over its input's ring too
   * max-pooling is 2x2 stride 2 and a NaN in a window makes its max NaN; the
     gradient goes to the window's first row-major element equal to its max
   * up-convolutions are 2x2 stride-2 transposed convolutions (each output
@@ -62,33 +75,96 @@ _BAND_ELEMENTS = 2**20
 _WINDOW = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
-def _pad_flat(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    """Same-pad (n, ci, h, w) ``x`` for an odd (kh, kw) kernel into one zeroed,
-    channel-major (ci, n*H*W) copy, H = h+kh-1 and W = w+kw-1. A 1x1 kernel
-    needs no padding: then it is a view of ``x`` where the layout allows (n == 1)."""
-    n, ci, h, w = x.shape
-    if kh == kw == 1:
-        return x.transpose(1, 0, 2, 3).reshape(ci, -1)
-    xp = np.zeros((ci, n, h + kh - 1, w + kw - 1), dtype=x.dtype)
-    xp[:, :, kh // 2 : kh // 2 + h, kw // 2 : kw // 2 + w] = x.transpose(1, 0, 2, 3)
-    return xp.reshape(ci, -1)
+def _interior(buf: np.ndarray) -> np.ndarray:
+    """The (n, c, h, w) view of a ringed (c, n, h+2, w+2) buffer."""
+    return buf[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
 
 
-def _row_bands(xpf: np.ndarray, kh: int, kw: int, w: int, co: int):
-    """Yield (b0, b1, rows, taps) over bands of the flat output positions of
-    ``_pad_flat``'s ``xpf``, for a kernel with ``co`` outputs. Position p reads
-    ``xpf[:, p + dy*W + dx]`` for tap (dy, dx), so a band needs only its kh row
-    shifts: ``rows`` is (ci*kh, b1-b0+kw-1) with ``rows[c*kh + dy, q] = xpf[c, b0 + dy*W + q]``,
-    and tap (dy, dx) of position b0+j is ``rows[:, j + dx]``. ``taps`` is an
-    uninitialized (co*kw, b1-b0+kw-1) buffer for the band's GEMM with the column
-    taps in M. Bands cross into the next image; the columns of padding positions
-    are computed, then cropped. The next band overwrites both buffers."""
-    ci, size = xpf.shape
-    W = w + kw - 1
-    span = size - (kh - 1) * W - (kw - 1)  # one past the last output position
+def _ring_rows_and_columns(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of the ring of every (n, c) image of a (c, n, H, W) buffer: its rows 0
+    and H-1, and its columns 0 and W-1 as the (last of one row, first of the next)
+    pairs they form in memory, each pair one complex element (float32 and float64
+    buffers). The pairs miss only the buffer's first and last cells, which are in
+    ring rows."""
+    c, n, H, W = buf.shape
+    flat = buf.reshape(-1)
+    pairs = flat[W - 1 : W - 1 + (c * n * H - 1) * W].reshape(-1, W)[:, :2]
+    return buf[:, :, :: H - 1], pairs.view(np.dtype(f"c{2 * buf.itemsize}"))
+
+
+def _zero_ring(buf: np.ndarray) -> None:
+    """Zero the one-pixel ring of every (n, c) image of a (c, n, H, W) buffer."""
+    rows, columns = _ring_rows_and_columns(buf)
+    rows[...] = 0
+    columns[...] = 0
+
+
+def ringed_empty(n: int, c: int, h: int, w: int, dtype=np.float32) -> np.ndarray:
+    """An (n, c, h, w) activation in the ringed layout for its maker to fill: a
+    fresh buffer with a zero ring around an uninitialized interior."""
+    buf = np.empty((c, n, h + 2, w + 2), dtype)
+    _zero_ring(buf)
+    return _interior(buf)
+
+
+def _buffer(x: np.ndarray) -> np.ndarray | None:
+    """The (c, n, h+2, w+2) buffer whose interior ``x`` is, whatever its ring
+    holds, or None."""
+    if x.ndim != 4 or not isinstance(x.base, np.ndarray) or x.base.dtype != x.dtype:
+        return None
+    n, c, h, w = x.shape
+    s, H, W = x.itemsize, h + 2, w + 2
+    base = x.base
+    if x.strides != (H * W * s, n * H * W * s, W * s, s) or not base.flags.c_contiguous:
+        return None
+    offset, misaligned = divmod(x.ctypes.data - base.ctypes.data, s)
+    start, size = offset - (W + 1), c * n * H * W
+    if misaligned or start < 0 or start + size > base.size:
+        return None
+    return base.reshape(-1)[start : start + size].reshape(c, n, H, W)
+
+
+def _ring(x: np.ndarray) -> np.ndarray | None:
+    """``_buffer(x)`` if its ring is all zero, else None: a look-alike view is
+    never trusted."""
+    buf = _buffer(x)
+    if buf is None:
+        return None
+    rows, columns = _ring_rows_and_columns(buf)
+    return None if rows.any() or columns.any() else buf
+
+
+def _padded(x: np.ndarray, kh: int = 1, kw: int = 1) -> np.ndarray:
+    """(n, c, h, w) ``x`` as the channel-major (c, n, h+2*mh, w+2*mw) operand of an
+    odd (kh, kw) kernel, zero in its margins mh = max(1, kh//2) and mw = max(1, kw//2):
+    its own ringed buffer when the margins are the ring, else a zeroed copy."""
+    mh, mw = max(1, kh // 2), max(1, kw // 2)
+    if (mh, mw) == (1, 1):
+        buf = _ring(x)
+        if buf is not None:
+            return buf
+    n, c, h, w = x.shape
+    xp = np.zeros((c, n, h + 2 * mh, w + 2 * mw), dtype=x.dtype)
+    xp[:, :, mh : mh + h, mw : mw + w] = x.transpose(1, 0, 2, 3)
+    return xp
+
+
+def _row_bands(xp: np.ndarray, kh: int, kw: int, co: int):
+    """Yield (b0, b1, rows, taps) over bands of the flat positions of ``_padded``'s
+    (ci, n, H, W) ``xp``, for a kernel with ``co`` outputs. Position p reads
+    ``xpf[:, p + dy*W + dx]`` for tap (dy, dx) of the flat ``xpf``, so a band needs
+    only its kh row shifts: ``rows`` is (ci*kh, b1-b0+kw-1) with
+    ``rows[c*kh + dy, q] = xpf[c, b0 + dy*W + q]``, and tap (dy, dx) of position
+    b0+j is ``rows[:, j + dx]``. ``taps`` is an uninitialized (co*kw, b1-b0+kw-1)
+    buffer for the band's GEMM with the column taps in M. Bands cross into the
+    next image; positions whose output lands in a margin are computed there, then
+    zeroed or cropped. The next band overwrites both buffers."""
+    ci, W = xp.shape[0], xp.shape[3]
+    xpf = xp.reshape(ci, -1)
+    span = xpf.shape[1] - (kh - 1) * W - (kw - 1)  # one past the last position
     band = max(1, _BAND_ELEMENTS // max(ci * kh, co * kw))
-    row_buf = np.empty(ci * kh * (min(band, span) + kw - 1), dtype=xpf.dtype)
-    tap_buf = np.empty(co * kw * (min(band, span) + kw - 1), dtype=xpf.dtype)
+    row_buf = np.empty(ci * kh * (min(band, span) + kw - 1), dtype=xp.dtype)
+    tap_buf = np.empty(co * kw * (min(band, span) + kw - 1), dtype=xp.dtype)
     for b0 in range(0, span, band):
         b1 = min(span, b0 + band)
         q = b1 - b0 + kw - 1
@@ -98,32 +174,43 @@ def _row_bands(xpf: np.ndarray, kh: int, kw: int, w: int, co: int):
         yield b0, b1, rows.reshape(ci * kh, q), tap_buf[: co * kw * q].reshape(co * kw, q)
 
 
-def _correlate(xpf: np.ndarray, k: np.ndarray, n: int, h: int, w: int) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation without bias of the (n, ci, h, w)
-    batch that ``_pad_flat`` made into ``xpf``, into a (co, n, H, W) buffer of all
-    flat positions; ``_unpad_flat`` crops it. One GEMM per band puts the column
-    taps in M, ``P[(o, dx), q] = sum over (c, dy) of k[o, c, dy, dx] * rows[(c, dy), q]``,
-    and position b0+j sums ``P[(o, dx), j + dx]`` over dx."""
+def _correlate(xp: np.ndarray, k: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """Stride-1 cross-correlation, plus ``bias`` if given, of ``_padded``'s (ci, n,
+    H, W) ``xp`` into a (co, n, H, W) buffer of the same geometry, each output at
+    its input's position: flat position p + (kh//2)*W + kw//2 for band position p.
+    Margin cells are left as garbage or unwritten. One GEMM per band puts the
+    column taps in M, ``P[(o, dx), q] = sum over (c, dy) of k[o, c, dy, dx] * rows[(c, dy), q]``,
+    and position b0+j sums ``P[(o, dx), j + dx]`` over dx, then adds the bias."""
     co, ci, kh, kw = k.shape
+    _, n, H, W = xp.shape
     k2 = k.transpose(0, 3, 1, 2).reshape(co * kw, ci * kh)
-    out = np.empty((co, n, h + kh - 1, w + kw - 1), dtype=xpf.dtype)
-    flat = out.reshape(co, -1)
-    for b0, b1, rows, taps in _row_bands(xpf, kh, kw, w, co):
+    out = np.empty((co, n, H, W), dtype=xp.dtype)
+    flat = out.reshape(co, -1)[:, (kh // 2) * W + kw // 2 :]
+    for b0, b1, rows, taps in _row_bands(xp, kh, kw, co):
+        acc = flat[:, b0:b1]
         if kw == 1:
-            np.matmul(k2, rows, out=flat[:, b0:b1])
-            continue
-        m = b1 - b0
-        p = np.matmul(k2, rows, out=taps).reshape(co, kw, -1)
-        acc = np.add(p[:, 0, :m], p[:, 1, 1 : m + 1], out=flat[:, b0:b1])
-        for dx in range(2, kw):
-            acc += p[:, dx, dx : dx + m]
+            np.matmul(k2, rows, out=acc)
+        else:
+            m = b1 - b0
+            p = np.matmul(k2, rows, out=taps).reshape(co, kw, -1)
+            np.add(p[:, 0, :m], p[:, 1, 1 : m + 1], out=acc)
+            for dx in range(2, kw):
+                acc += p[:, dx, dx : dx + m]
+        if bias is not None:
+            acc += bias[:, None]
     return out
 
 
-def _unpad_flat(out: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The contiguous (n, co, h, w) output in ``_correlate``'s (co, n, H, W) buffer:
-    a copy unless no crop or transpose is needed (1x1 kernel, n == 1)."""
-    return np.ascontiguousarray(out[:, :, :h, :w].transpose(1, 0, 2, 3))
+def _ringed_result(out: np.ndarray, h: int, w: int) -> np.ndarray:
+    """The (n, co, h, w) interior of ``_correlate``'s ``out``: ringed in place when
+    its margins are 1, else copied into a fresh ringed buffer."""
+    mh, mw = (out.shape[2] - h) // 2, (out.shape[3] - w) // 2
+    if (mh, mw) == (1, 1):
+        _zero_ring(out)
+        return _interior(out)
+    dst = ringed_empty(out.shape[1], out.shape[0], h, w, out.dtype)
+    dst[...] = out[:, :, mh : mh + h, mw : mw + w].transpose(1, 0, 2, 3)
+    return dst
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
@@ -136,9 +223,7 @@ def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError("same padding requires odd kernel dims")
-    out = _unpad_flat(_correlate(_pad_flat(x, kh, kw), k, n, h, w), h, w)
-    out += bias[None, :, None, None]
-    return out
+    return _ringed_result(_correlate(_padded(x, kh, kw), k, bias), h, w)
 
 
 def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input_grad: bool = True):
@@ -148,14 +233,15 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input
     co, _, kh, kw = k.shape
     if grad_out.shape != (n, co, h, w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, h, w)}")
-    xpf = _pad_flat(x, kh, kw)
-    gpf = _pad_flat(grad_out, kh, kw)
-    shift = (kh // 2) * (w + kw - 1) + kw // 2  # gpf[:, p + shift]: grad_out at p, 0 if cropped
+    xp = _padded(x, kh, kw)
+    gp = _padded(grad_out, kh, kw)
+    gpf = gp.reshape(co, -1)
+    shift = (kh // 2) * gp.shape[3] + kw // 2  # gpf[:, p + shift]: grad_out at p, 0 in a margin
     # grad_k[(o, dx), (c, dy)] sums grad_out at b0+j times rows[(c, dy), j + dx]: one
     # GEMM per band against grad_out copied kw times, shifted by dx, zero where j is
     # outside the band
     grad_k = np.zeros((co * kw, ci * kh), dtype=k.dtype)
-    for b0, b1, rows, taps in _row_bands(xpf, kh, kw, w, co):
+    for b0, b1, rows, taps in _row_bands(xp, kh, kw, co):
         m = b1 - b0
         g = taps.reshape(co, kw, -1)
         for dx in range(kw):
@@ -163,46 +249,56 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input
             g[:, dx, dx : dx + m] = gpf[:, b0 + shift : b1 + shift]
             g[:, dx, dx + m :] = 0
         grad_k += taps @ rows.T
-    del xpf, rows, taps, g  # grad_x's buffers need not sit on top of the padded input
+    del xp, rows, taps, g  # grad_x's buffers need not sit on top of a padded copy of x
     grad_k = grad_k.reshape(co, kw, ci, kh).transpose(0, 2, 3, 1).copy()
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
+    grad_bias = gpf.sum(axis=1)  # the margins add zeros
     if not input_grad:
         return None, grad_k, grad_bias
     # the input gradient correlates grad_out with the flipped, transposed kernel
-    grad_x = _correlate(gpf, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3), n, h, w)
-    del gpf  # the cropped copy need not sit on top of the padded grad_out
-    return _unpad_flat(grad_x, h, w), grad_k, grad_bias
+    grad_x = _correlate(gp, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _ringed_result(grad_x, h, w), grad_k, grad_bias
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+    """max(x, 0), written into ``x`` and returned: the caller hands over an array it owns."""
+    buf = _ring(x)
+    buf = x if buf is None else buf
+    np.maximum(buf, 0, out=buf)
+    return x
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gradient passes where x > 0; the subgradient at exactly 0 is 0. ``x`` may
     be the ReLU's input or its output: ``x > 0`` is the same mask for both,
-    also for NaN and -0.0."""
-    return grad_out * (x > 0)
+    also for NaN and -0.0. Written into ``grad_out``, which is returned."""
+    # whole buffers when grad_out's ring is zero: that ring times any mask, also one
+    # read from x's ring, stays zero
+    xb, gb = _buffer(x), _ring(grad_out)
+    if xb is None or gb is None:
+        xb, gb = x, grad_out
+    np.multiply(gb, xb > 0, out=gb)
+    return grad_out
 
 
-def _window_max(x: np.ndarray) -> np.ndarray:
+def _window_max(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     a, b, c, d = (x[:, :, dy::2, dx::2] for dy, dx in _WINDOW)
-    return np.maximum(np.maximum(a, b), np.maximum(c, d))  # np.maximum propagates NaN
+    out = np.maximum(a, b, out=out)
+    return np.maximum(out, np.maximum(c, d), out=out)  # np.maximum propagates NaN
 
 
 def maxpool2d_forward(x: np.ndarray) -> np.ndarray:
     """2x2 stride-2 max-pool: (n,c,h,w) -> (n,c,h/2,w/2); a window holding a NaN pools to NaN."""
-    h, w = x.shape[2:]
+    n, c, h, w = x.shape
     if h % 2 or w % 2:
         raise ValueError(f"spatial dims must be even, got {h}x{w}")
-    return _window_max(x)
+    return _window_max(x, ringed_empty(n, c, h // 2, w // 2, x.dtype))
 
 
 def maxpool2d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the forward input ``x``: each window's grad_out goes to its
     first row-major element equal to the window max; a NaN window equals nothing."""
     m = _window_max(x)  # not maxpool2d_forward: the backward is no second forward
-    grad = np.empty(x.shape, dtype=grad_out.dtype)
+    grad = ringed_empty(*x.shape, grad_out.dtype)
     routed = np.zeros(m.shape, dtype=bool)
     for dy, dx in _WINDOW:  # the four views cover grad exactly once
         win = (x[:, :, dy::2, dx::2] == m) & ~routed
@@ -219,12 +315,15 @@ def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarr
         raise ValueError(f"kernel shape {k.shape} incompatible with input {x.shape}")
     if bias.shape != (co,):
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
-    # one (4co, ci) GEMM gives every tap; row o*4 + dy*2 + dx lands at (2y+dy, 2x+dx)
-    taps = (k.reshape(ci, 4 * co).T @ x.reshape(n, ci, h * w)).reshape(n, co, 2, 2, h, w)
-    out = np.empty((n, co, 2 * h, 2 * w), dtype=taps.dtype)
+    # one (4co, ci) GEMM over the ringed input gives every tap; row o*4 + dy*2 + dx
+    # lands at (2y+dy, 2x+dx). The bias is added while the taps are contiguous.
+    taps = (k.reshape(ci, 4 * co).T @ _padded(x).reshape(ci, -1)).reshape(co, 4, -1)
+    taps += bias[:, None, None]
+    taps = taps.reshape(co, 2, 2, n, h + 2, w + 2)
+    out = ringed_empty(n, co, 2 * h, 2 * w, taps.dtype)
     out6 = out.reshape(n, co, h, 2, w, 2)
-    for dy, dx in _WINDOW:  # tap plus bias, written straight to its output pixels
-        np.add(taps[:, :, dy, dx], bias[:, None, None], out=out6[:, :, :, dy, :, dx])
+    for dy, dx in _WINDOW:  # each tap copied straight to its output pixels
+        out6[:, :, :, dy, :, dx] = taps[:, dy, dx, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
     return out
 
 
@@ -233,23 +332,36 @@ def upconv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     _, co, _, _ = k.shape
     if grad_out.shape != (n, co, 2 * h, 2 * w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, 2 * h, 2 * w)}")
-    # inverse pixel shuffle: (n, co, 2h, 2w) -> (n, 4co, h*w), rows as in the forward
-    g = (
-        grad_out.reshape(n, co, h, 2, w, 2)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, 4 * co, h * w)
-    )
-    grad_x = (k.reshape(ci, 4 * co) @ g).reshape(n, ci, h, w)
-    grad_k = (x.reshape(n, ci, h * w) @ g.transpose(0, 2, 1)).sum(axis=0)
-    grad_bias = grad_out.sum(axis=(0, 2, 3))
-    return grad_x, grad_k.reshape(k.shape), grad_bias
+    # inverse pixel shuffle into x's ringed geometry: (n, co, 2h, 2w) -> (4co, n, h+2, w+2),
+    # rows as in the forward, with a zero ring
+    g = np.empty((4 * co, n, h + 2, w + 2), dtype=grad_out.dtype)
+    _zero_ring(g)
+    shuffled = grad_out.reshape(n, co, h, 2, w, 2).transpose(1, 3, 5, 0, 2, 4)
+    g.reshape(co, 2, 2, n, h + 2, w + 2)[..., 1:-1, 1:-1] = shuffled
+    g = g.reshape(4 * co, -1)
+    grad_x = (k.reshape(ci, 4 * co) @ g).reshape(ci, n, h + 2, w + 2)
+    grad_k = _padded(x).reshape(ci, -1) @ g.T  # the rings add zeros
+    grad_bias = g.reshape(co, -1).sum(axis=1)
+    return _ringed_result(grad_x, h, w), grad_k.reshape(k.shape), grad_bias
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two (n,*,h,w) tensors along the channel axis."""
+    """Stack two (n,*,h,w) tensors along the channel axis: two channel blocks of one ringed buffer."""
     if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    return np.concatenate([a, b], axis=1)
+    n, fa, h, w = a.shape
+    buf = np.empty((fa + b.shape[1], n, h + 2, w + 2), dtype=np.result_type(a, b))
+    buf[:fa] = _padded(a)
+    buf[fa:] = _padded(b)
+    return _interior(buf)
+
+
+def _add_ringed(a: np.ndarray, b: np.ndarray) -> None:
+    """a += b, over whole buffers where both are ringed: their zero rings sum to zero."""
+    ab, bb = _ring(a), _ring(b)
+    if ab is None or bb is None:
+        ab, bb = a, b
+    ab += bb
 
 
 def split_channels(grad: np.ndarray, first_channels: int):
@@ -261,7 +373,7 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     """Mean squared error over all elements; returns (loss, dloss/dpred)."""
     if pred.shape != target.shape:
         raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
-    diff = pred - target
+    diff = np.subtract(pred, target, order="C")  # summed in (n, c, h, w) order, whatever the layout
     loss = float(np.mean(diff * diff))
     diff *= 2.0  # in place, rounding as 2.0 * diff / diff.size does
     diff /= diff.size
@@ -426,24 +538,24 @@ def unet_forward_cached(params: UNetParams, x: np.ndarray):
 
 
 def cache_bytes(cfg: UNetConfig, n: int, h: int, w: int, dtype=np.float32) -> int:
-    """Bytes that the cache of ``unet_forward_cached`` holds for an (n, in_channels,
-    h, w) input of ``dtype``, h and w multiples of ``cfg.spatial_multiple``: the
-    input, and the output of each ReLU (but a skip's, held in its concat), pool
-    and concat."""
+    """Bytes that the cache of ``unet_forward_cached`` holds for a ringed (n,
+    in_channels, h, w) input of ``dtype``, h and w multiples of
+    ``cfg.spatial_multiple``: the ringed buffers of the input, and of the output
+    of each ReLU (but a skip's, held in its concat), pool and concat."""
     layers = _layers(cfg)
-    c, area = cfg.in_channels, h * w
-    held = c * area
+    c = cfg.in_channels
+    held = c * (h + 2) * (w + 2)
     for i, (kind, _, shape) in enumerate(layers):
         if kind == "conv":
             c = shape[0]
         elif kind == "up":
-            c, area = shape[1], 4 * area
+            c, h, w = shape[1], 2 * h, 2 * w
         elif kind == "pool":
-            area //= 4
+            h, w = h // 2, w // 2
         elif kind == "concat":
             c *= 2
         if kind in ("pool", "concat") or (kind == "relu" and layers[i + 1][0] != "pool"):
-            held += c * area
+            held += c * (h + 2) * (w + 2)
     return n * held * np.dtype(dtype).itemsize
 
 
@@ -478,7 +590,8 @@ def unet_backward_cached(params: UNetParams, cache, grad_out: np.ndarray) -> dic
         elif kind == "relu":
             g = relu_backward(entry, g)
         elif kind == "pool":
-            g = maxpool2d_backward(entry, g) + skip_grads.pop()
+            g = maxpool2d_backward(entry, g)
+            _add_ringed(g, skip_grads.pop())
         else:  # concat
             g_skip, g = split_channels(g, entry)
             skip_grads.append(g_skip)

@@ -32,7 +32,7 @@ from .tensor_nn import (
     UNetParams,
     init_params,
     mse_loss,
-    round_half_up_uint8,
+    ringed_empty,
     unet_backward_cached,
     unet_forward,
     unet_forward_cached,
@@ -131,22 +131,27 @@ def new_state(unet_config: UNetConfig, sgd_config: SGDConfig) -> TrainState:
 
 def _stack_inputs(blocks: list[np.ndarray], cfg: UNetConfig, multiple: int = 1) -> np.ndarray:
     """Collapse (t, c, h, w) blocks frame-major, channel-minor and stack them
-    into one float32 (n, t*c, H, W) batch, zero-padded bottom/right so that H
-    and W are multiples of ``multiple``; the values are written straight into it.
+    into one float32 (n, t*c, H, W) batch in the kernels' ringed layout,
+    zero-padded bottom/right so that H and W are multiples of ``multiple``. The
+    frames are converted in contiguous float32 chunks of at most 2**20 values,
+    then copied in: numpy's arithmetic is fastest on contiguous arrays, and a
+    small chunk is not a fresh mapping each time.
 
     With cfg.normalize the 0-255 values are centered and scaled to
     (v - 128) / 255; otherwise they are fed raw. Padding stays 0 either way.
     """
     t, c, h, w = blocks[0].shape
-    x = np.empty((len(blocks), t * c, h + (-h) % multiple, w + (-w) % multiple), np.float32)
+    x = ringed_empty(len(blocks), t * c, h + (-h) % multiple, w + (-w) % multiple)
     x[:, :, h:] = 0
     x[:, :, :h, w:] = 0
-    values = x[:, :, :h, :w]
-    for dst, b in zip(values, blocks):
-        dst[...] = b.reshape(t * c, h, w)
-    if cfg.normalize:
-        values -= 128.0
-        values /= 255.0
+    step = max(1, 2**20 // (c * h * w))  # frames per chunk
+    for dst, b in zip(x[:, :, :h, :w], blocks):
+        for f in range(0, t, step):
+            v = b[f : f + step].reshape(-1, h, w).astype(np.float32)
+            if cfg.normalize:
+                v -= 128.0
+                v /= 255.0
+            dst[f * c : (f + step) * c] = v
     return x
 
 
@@ -254,7 +259,7 @@ def validation_losses(
         batch = clips[lo : lo + batch_size]
         pred = _batch_forward(params, [c.input for c in batch])
         y = _stack_inputs([c.target for c in batch], cfg)
-        err = pred - y
+        err = np.subtract(pred, y, order="C")  # each clip's errors summed in (c, h, w) order
         per_clip.extend(np.mean(err * err, axis=(1, 2, 3)).tolist())
     full = scale * float(np.mean(per_clip))
     if test_slots is None:
@@ -278,13 +283,18 @@ def predict(params: UNetParams, clip: Clip) -> np.ndarray:
         raise ValueError(
             f"out_channels {cfg.out_channels} not divisible by {TARGET_FRAMES} frames"
         )
-    out = _batch_forward(params, [clip.input])[0].astype(np.float64)  # (3*c, h, w)
+    out = _batch_forward(params, [clip.input])[0].astype(np.float64)  # (3*c, h, w), the one copy
     if not math.isfinite(out.sum()):  # float32 values overflow no float64 sum
         bad = np.count_nonzero(~np.isfinite(out))
         raise NumericalError(f"{bad} of {out.size} predicted values are not finite")
     if cfg.normalize:
-        out = out * 255.0 + 128.0
-    return round_half_up_uint8(out.reshape(TARGET_FRAMES, -1, *out.shape[1:]))
+        out *= 255.0
+        out += 128.0
+    # tensor_nn.round_half_up_uint8, in place
+    np.clip(out, 0, 255, out=out)
+    out += 0.5
+    np.floor(out, out=out)
+    return out.astype(np.uint8).reshape(TARGET_FRAMES, -1, *out.shape[1:])
 
 
 # ---------------------------------------------------------------------------

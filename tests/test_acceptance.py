@@ -145,8 +145,8 @@ def _kernel_checks(seed):
     xr = rng.normal(size=30)
     xr[np.abs(xr) < 0.05] = 0.3  # away from the ReLU kink
     gor = rng.normal(size=30)
-    loss_r = lambda: float(np.sum(gor * tn.relu_forward(xr)))
-    worst = max(worst, max_rel_err(tn.relu_backward(xr, gor), numeric_grad(loss_r, xr)))
+    loss_r = lambda: float(np.sum(gor * tn.relu_forward(xr.copy())))  # in place: xr must stay
+    worst = max(worst, max_rel_err(tn.relu_backward(xr, gor.copy()), numeric_grad(loss_r, xr)))
 
     p = rng.normal(size=(3, 4))
     targ = rng.normal(size=(3, 4))

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridcast import cli, dataset, tensor_nn as tn, trainer
+from gridcast import baselines, cli, dataset, masks, movie_store, tensor_nn as tn, trainer
 from gridcast.cli import main
 from gridcast.dataset import synth_movie
 from gridcast.movie_store import open_movie
@@ -343,6 +343,37 @@ def test_inspect_prints_a_checkpoints_config_and_each_tensors_shape_and_norm(pip
         assert float(norm.removeprefix("l2=")) == pytest.approx(np.sqrt((w.astype(np.float64) ** 2).sum()), rel=1e-5)
     assert run("inspect", ckpt, "--dump", tmp_path / "w.npy") == 2
     assert "is a UNP2 checkpoint" in capsys.readouterr().err and not (tmp_path / "w.npy").exists()
+
+
+def test_inspect_prints_a_masks_threshold_span_and_active_pixels(tmp_path, capsys):
+    active = np.zeros((4, 5), bool)
+    active[1, 2] = active[3, 0] = active[3, 4] = True
+    path = masks.save_mask(masks.Mask(active, 40, 96), tmp_path / "mask.tmm")
+    assert run("inspect", path) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "mask: threshold=40 source_span=96 active=3 of 20 pixels"
+
+
+def test_inspect_prints_a_slot_average_models_slots(tmp_path, capsys):
+    frames = {s: np.full((3, 2, 2), s, np.uint8) for s in (12, 24, 100)}
+    path = baselines.save_model(baselines.SlotAverageModel(frames), tmp_path / "model.tmm")
+    assert run("inspect", path) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "slot-average model: slots=12,24,100"
+
+
+@pytest.mark.parametrize(
+    "frames, city, date, named",
+    [
+        (np.zeros((1, 1, 2, 2), np.uint8), "mask-thr40-nX", "MASK", "mask metadata"),
+        (np.full((1, 1, 2, 2), 7, np.uint8), "mask-thr40-n9", "MASK", "values must be 0 or 255"),
+        (np.zeros((2, 1, 2, 2), np.uint8), "mask-thr40-n9", "MASK", "not a mask file"),
+        (np.zeros((2, 1, 2, 2), np.uint8), "slot-average-s5,3", "MODEL", "not a model of 2 increasing slots"),
+        (np.zeros((2, 1, 2, 2), np.uint8), "slot-average-s5", "MODEL", "not a model of 2 increasing slots"),
+    ],
+)
+def test_inspect_rejects_a_malformed_mask_or_model(tmp_path, capsys, frames, city, date, named):
+    path = movie_store.ingest(frames, city, date, tmp_path / "bad.tmm")
+    assert run("inspect", path) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_inspect_rejects_a_file_that_is_neither_movie_nor_checkpoint(tmp_path, capsys):

@@ -75,8 +75,14 @@ def test_conv_backward_finite_difference(seed):
 
 def test_relu_values_and_gradient():
     x = np.array([-1.0, 0.0, 2.0])
-    assert tn.relu_forward(x).tolist() == [0.0, 0.0, 2.0]
+    assert tn.relu_forward(x.copy()).tolist() == [0.0, 0.0, 2.0]
     assert tn.relu_backward(x, np.ones(3)).tolist() == [0.0, 0.0, 1.0]
+
+
+def test_relu_works_in_place_on_the_array_it_is_given():
+    x, g = np.array([-1.0, 0.0, 2.0]), np.array([3.0, 4.0, 5.0])
+    assert tn.relu_forward(x) is x and x.tolist() == [0.0, 0.0, 2.0]
+    assert tn.relu_backward(x, g) is g and g.tolist() == [0.0, 0.0, 5.0]
 
 
 def test_relu_finite_difference_away_from_zero():
@@ -84,8 +90,8 @@ def test_relu_finite_difference_away_from_zero():
     x = rng.normal(size=(40,))
     x[np.abs(x) < 0.05] = 0.5  # keep clear of the kink
     go = rng.normal(size=40)
-    loss = lambda: float(np.sum(go * tn.relu_forward(x)))
-    assert max_rel_err(tn.relu_backward(x, go), numeric_grad(loss, x)) < 1e-5
+    loss = lambda: float(np.sum(go * tn.relu_forward(x.copy())))  # in place: x must stay
+    assert max_rel_err(tn.relu_backward(x, go.copy()), numeric_grad(loss, x)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -365,20 +371,31 @@ def _owned_bytes(arrays):
 
 
 def cache_bytes(cfg, n, h, w, itemsize):
-    """Bytes of a backward cache holding each activation once: the input, each
+    """Bytes of a backward cache holding each activation once, in a ringed buffer
+    of (h+2)*(w+2) pixels per channel at its level's h and w: the input, each
     level's first ReLU, the bottom level's second ReLU, and for every other
     level its pool output, its concat and its two decoder ReLUs."""
-    planes = cfg.in_channels * h * w
+    def area(i):
+        return ((h >> i) + 2) * ((w >> i) + 2)
+
+    planes = cfg.in_channels * area(0)
     for i in range(cfg.depth):
-        f, area = cfg.level_channels(i), (h >> i) * (w >> i)
-        planes += f * area + (f * area if i == cfg.depth - 1 else f * area // 4 + 4 * f * area)
+        f = cfg.level_channels(i)
+        planes += f * area(i) + (f * area(i) if i == cfg.depth - 1 else f * area(i + 1) + 4 * f * area(i))
     return n * planes * itemsize
+
+
+def ringed(a):
+    """A copy of ``a`` in the kernels' ringed layout."""
+    x = tn.ringed_empty(*a.shape, a.dtype)
+    x[...] = a
+    return x
 
 
 def test_unet_cache_holds_each_skip_once_inside_its_concat():
     cfg = tn.UNetConfig(depth=3, in_channels=4, out_channels=2, base_channels=3)
     params = tn.init_params(cfg, seed=0, dtype=np.float64)
-    x = np.random.default_rng(6).normal(size=(2, 4, 8, 8))
+    x = ringed(np.random.default_rng(6).normal(size=(2, 4, 8, 8)))
     _, cache = tn.unet_forward_cached(params, x)
     layers = [kind for kind, _, _ in tn._layers(cfg)]
     pools = [i for i, kind in enumerate(layers) if kind == "pool"]
@@ -401,16 +418,17 @@ def test_cache_bytes_equals_the_oracle_and_the_bytes_a_real_cache_owns(depth, ba
     expected = cache_bytes(cfg, n, h, w, np.dtype(dtype).itemsize)
     assert tn.cache_bytes(cfg, n, h, w, dtype) == expected
     params = tn.init_params(cfg, seed=0, dtype=dtype)
-    x = np.random.default_rng(8).normal(size=(n, 4, h, w)).astype(dtype)
+    x = ringed(np.random.default_rng(8).normal(size=(n, 4, h, w)).astype(dtype))
     _, cache = tn.unet_forward_cached(params, x)
     assert _owned_bytes([a for a in cache if isinstance(a, np.ndarray)]) == expected
 
 
 def test_cache_bytes_at_the_real_grid_is_the_traced_activation_bytes():
-    # a depth-5, base-16 U-Net on one clip of 495x436 padded to 496x448; the
-    # benchmark's traced run at the real grid reports the same bytes
+    # a depth-5, base-16 U-Net on one clip of 495x436 padded to 496x448, each
+    # activation in a ringed buffer; the benchmark's traced run at the real grid
+    # reports the same bytes
     cfg = tn.UNetConfig(depth=5, in_channels=36, out_channels=9, base_channels=16, normalize=True)
-    assert tn.cache_bytes(cfg, 1, 496, 448) == cache_bytes(cfg, 1, 496, 448, 4) == 173_766_656
+    assert tn.cache_bytes(cfg, 1, 496, 448) == cache_bytes(cfg, 1, 496, 448, 4) == 176_970_304
 
 
 def test_unet_forward_without_cache_peaks_well_below_the_cached_forward(monkeypatch):
@@ -434,7 +452,7 @@ def test_unet_forward_without_cache_peaks_well_below_the_cached_forward(monkeypa
 def test_relu_backward_same_mask_on_output():
     x = np.array([np.nan, -0.0, 0.0, 1.5, -1.5, 1e-300, -1e-300, np.inf, -np.inf])
     g = np.arange(1.0, x.size + 1)
-    assert np.array_equal(tn.relu_backward(tn.relu_forward(x), g), tn.relu_backward(x, g))
+    assert np.array_equal(tn.relu_backward(tn.relu_forward(x.copy()), g.copy()), tn.relu_backward(x, g))
 
 
 # ---------------------------------------------------------------------------
@@ -666,20 +684,24 @@ def test_conv_matches_direct_loops_with_bands_across_images(kh, kw, monkeypatch)
     n, ci, h, w = 3, 2, 5, 6
     monkeypatch.setattr(tn, "_BAND_ELEMENTS", max(ci * kh, ci * kw) * 37)  # 37 positions per band
     x = rng.normal(size=(n, ci, h, w))
-    image = (h + kh - 1) * (w + kw - 1)  # flat positions of one padded image
-    bands = [(b0, b1) for b0, b1, _, _ in tn._row_bands(tn._pad_flat(x, kh, kw), kh, kw, w, ci)]
+    xp = tn._padded(x, kh, kw)
+    image = xp.shape[2] * xp.shape[3]  # flat positions of one padded image
+    bands = [(b0, b1) for b0, b1, _, _ in tn._row_bands(xp, kh, kw, ci)]
     assert any(b0 // image < (b1 - 1) // image for b0, b1 in bands)  # a band spans two images
     assert_conv_matches_naive(x, rng.normal(size=(ci, ci, kh, kw)), rng)
 
 
 def test_1x1_conv_at_batch_one_copies_nothing():
+    # nor at any batch: a ringed input is its own padded operand, and the
+    # output is the buffer the GEMMs fill
     rng = np.random.default_rng(9)
-    x = rng.normal(size=(1, 4, 5, 6))
-    assert np.shares_memory(tn._pad_flat(x, 1, 1), x)
-    assert not np.shares_memory(tn._pad_flat(x[[0, 0]], 1, 1), x)
-    out = np.empty((3, 1, 5, 6))
-    assert np.shares_memory(tn._unpad_flat(out, 5, 6), out)
-    assert_conv_matches_naive(x, rng.normal(size=(3, 4, 1, 1)), rng)
+    for n in (1, 2):
+        x = ringed(rng.normal(size=(n, 4, 5, 6)))
+        assert np.shares_memory(tn._padded(x, 1, 1), x)
+        assert not np.shares_memory(tn._padded(x.copy(), 1, 1), x)
+        out = np.empty((3, n, 7, 8))
+        assert np.shares_memory(tn._ringed_result(out, 5, 6), out)
+        assert_conv_matches_naive(x, rng.normal(size=(3, 4, 1, 1)), rng)
 
 
 @pytest.mark.parametrize("ci,co", [(1, 1), (3, 2), (8, 5)])
@@ -778,8 +800,8 @@ def test_conv_backward_frees_the_padded_input_before_grad_x(monkeypatch):
 
 
 def test_conv_backward_frees_the_padded_grad_out_before_cropping_grad_x(monkeypatch):
-    # with ci > co, cropping grad_x out of its padded buffer is the backward's
-    # peak; the padded grad_out is not needed by then
+    # with ci > co, grad_x's padded buffer is the backward's largest array; it is
+    # returned as it is, so no cropped copy of it may sit beside the padded grad_out
     monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**10)
     rng = np.random.default_rng(12)
     x = rng.normal(size=(2, 64, 32, 40)).astype(np.float32)
@@ -794,3 +816,145 @@ def test_conv_backward_frees_the_padded_grad_out_before_cropping_grad_x(monkeypa
         tracemalloc.stop()
     assert grad_x.shape == x.shape
     assert peak < padded_grad_x + x.nbytes + padded_go, f"peaked at {peak} B"
+
+
+# ---------------------------------------------------------------------------
+# the ringed layout
+
+def ring_buffer(x):
+    """The (c, n, h+2, w+2) buffer inside ``x.base`` whose interior ``x`` is
+    exactly; fails the test unless there is one."""
+    n, c, h, w = x.shape
+    base = x.base
+    assert isinstance(base, np.ndarray) and base.flags.c_contiguous, "not a view of a contiguous buffer"
+    start = (x.ctypes.data - base.ctypes.data) // x.itemsize - (w + 3)
+    buf = base.reshape(-1)[start : start + c * n * (h + 2) * (w + 2)].reshape(c, n, h + 2, w + 2)
+    assert buf[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3).__array_interface__ == x.__array_interface__
+    return buf
+
+
+def assert_zero_ring(x):
+    ring = ring_buffer(x).copy()
+    ring[:, :, 1:-1, 1:-1] = 0
+    assert not ring.view(np.uint8).any(), "a ring bit is set"  # -0.0 counts as set
+
+
+def kernel_calls(rng, dtype, n):
+    """Every kernel by name, as a function of ``prep``, which makes the fresh
+    copy (ringed or plain) of each shared input the kernel reads, so the
+    in-place ReLUs leave the inputs as they were."""
+    x = rng.normal(size=(n, 3, 6, 8)).astype(dtype)
+    k3, k1, k53 = (rng.normal(size=s).astype(dtype) for s in ((4, 3, 3, 3), (4, 3, 1, 1), (4, 3, 5, 3)))
+    b = rng.normal(size=4).astype(dtype)
+    g = rng.normal(size=(n, 4, 6, 8)).astype(dtype)
+    ku = rng.normal(size=(3, 4, 2, 2)).astype(dtype)
+    gu = rng.normal(size=(n, 4, 12, 16)).astype(dtype)
+    gp = rng.normal(size=(n, 3, 3, 4)).astype(dtype)
+    y = rng.normal(size=(n, 2, 6, 8)).astype(dtype)
+    return {
+        "conv3x3": lambda p: [tn.conv2d_forward(p(x), k3, b)],
+        "conv1x1": lambda p: [tn.conv2d_forward(p(x), k1, b)],
+        "conv5x3": lambda p: [tn.conv2d_forward(p(x), k53, b)],
+        "conv3x3_backward": lambda p: list(tn.conv2d_backward(p(x), k3, p(g))),
+        "conv1x1_backward": lambda p: list(tn.conv2d_backward(p(x), k1, p(g))),
+        "conv5x3_backward": lambda p: list(tn.conv2d_backward(p(x), k53, p(g))),
+        "relu": lambda p: [tn.relu_forward(p(x))],
+        "relu_backward": lambda p: [tn.relu_backward(p(x), p(x[:, ::-1]))],
+        "maxpool": lambda p: [tn.maxpool2d_forward(p(x))],
+        "maxpool_backward": lambda p: [tn.maxpool2d_backward(p(x), p(gp))],
+        "upconv": lambda p: [tn.upconv2d_forward(p(x), ku, b)],
+        "upconv_backward": lambda p: list(tn.upconv2d_backward(p(x), ku, p(gu))),
+        "concat": lambda p: [tn.concat_channels(p(x), p(y))],
+        "split": lambda p: list(tn.split_channels(p(np.concatenate([x, y], axis=1)), 3)),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3])
+def test_every_kernel_gives_the_same_bits_on_a_ringed_view_and_a_plain_copy(dtype, n):
+    # a plain input is padded into the geometry a ringed one already has, so no
+    # sum changes its order
+    for name, call in kernel_calls(np.random.default_rng(30 + n), dtype, n).items():
+        on_ringed = call(ringed)
+        on_plain = call(np.copy)
+        assert len(on_ringed) == len(on_plain), name
+        for got, want in zip(on_ringed, on_plain):
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("prep", [ringed, np.copy], ids=["ringed", "plain"])
+def test_every_activation_a_kernel_returns_has_an_all_zero_ring(n, prep):
+    for name, call in kernel_calls(np.random.default_rng(40 + n), np.float32, n).items():
+        if prep is np.copy and name in ("relu", "relu_backward", "split"):
+            continue  # these return the array they are given, or views of it
+        out = call(prep)
+        for activation in out[:1] if name.endswith("_backward") else out:  # not grad_k, grad_bias
+            assert_zero_ring(activation)
+
+
+def test_unet_activations_and_output_are_ringed():
+    params = tn.init_params(toy_config(), seed=0)
+    x = ringed(np.random.default_rng(9).normal(size=(2, 4, 8, 8)).astype(np.float32))
+    out, cache = tn.unet_forward_cached(params, x)
+    assert_zero_ring(out)
+    for entry in cache:
+        if isinstance(entry, np.ndarray):
+            assert_zero_ring(entry)
+    assert tn.unet_forward(params, x).tobytes() == out.tobytes()
+
+
+@pytest.mark.parametrize("cell", [(0, 0, 0, 3), (2, 1, -1, 5), (1, 1, 4, 0), (0, 0, 2, -1), (2, 1, 0, 0)])
+@pytest.mark.parametrize("value", [7.0, -7.0, np.nan])
+def test_a_look_alike_view_with_a_nonzero_ring_cell_is_padded_not_trusted(cell, value):
+    # (channel, image, row, column) of the one ring cell that is not zero
+    rng = np.random.default_rng(50)
+    x0 = rng.normal(size=(2, 3, 6, 8))
+    buf = np.zeros((3, 2, 8, 10))
+    look = buf[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+    look[...] = x0
+    buf[cell] = value
+    before = buf.copy()
+    assert tn._ring(look) is None
+    k, b, g = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), rng.normal(size=(2, 4, 6, 8))
+    ku, gu = rng.normal(size=(3, 4, 2, 2)), rng.normal(size=(2, 4, 12, 16))
+    for got, want in (
+        (tn.conv2d_forward(look, k, b), tn.conv2d_forward(x0, k, b)),
+        (tn.conv2d_forward(look, k[:, :, 1:2, 1:2], b), tn.conv2d_forward(x0, k[:, :, 1:2, 1:2], b)),
+        *zip(tn.conv2d_backward(look, k, g), tn.conv2d_backward(x0, k, g)),
+        *zip(tn.conv2d_backward(ringed(g[:, :3]), k[:3, :3], look), tn.conv2d_backward(g[:, :3], k[:3, :3], x0)),
+        (tn.upconv2d_forward(look, ku, b), tn.upconv2d_forward(x0, ku, b)),
+        *zip(tn.upconv2d_backward(look, ku, gu), tn.upconv2d_backward(x0, ku, gu)),
+        (tn.concat_channels(look, look), tn.concat_channels(x0, x0)),
+        (tn.relu_backward(look, ringed(x0)), tn.relu_backward(x0, x0.copy())),
+    ):
+        assert np.array_equal(got, want), cell
+    assert np.array_equal(buf, before, equal_nan=True)  # no kernel wrote the ring
+    tn.relu_forward(look)
+    tn.relu_backward(ringed(x0), look)
+    ring = buf.copy()
+    ring[:, :, 1:-1, 1:-1] = before[:, :, 1:-1, 1:-1]
+    assert np.array_equal(ring, before, equal_nan=True)  # the in-place ReLUs wrote only the interior
+
+
+def test_a_conv_on_a_ringed_input_makes_no_padded_copy(monkeypatch):
+    # a padded copy of the 64-channel input would be as large as its buffer; the
+    # forward's output has 4 channels, and the backward's largest array is grad_x
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**10)
+    rng = np.random.default_rng(13)
+    x = ringed(rng.normal(size=(2, 64, 32, 40)).astype(np.float32))
+    k = rng.normal(size=(4, 64, 3, 3)).astype(np.float32)
+    go = ringed(rng.normal(size=(2, 4, 32, 40)).astype(np.float32))
+    buffer = ring_buffer(x).nbytes
+    tracemalloc.start()
+    try:
+        tn.conv2d_forward(x, k, np.zeros(4, np.float32))
+        forward = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        tn.conv2d_backward(x, k, go)
+        backward = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert forward < buffer // 4, f"forward peaked at {forward} B"
+    assert backward < buffer * 5 // 4, f"backward peaked at {backward} B"

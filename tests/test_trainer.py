@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 import tracemalloc
 
@@ -235,6 +236,32 @@ def test_predict_pads_and_crops_odd_grid(tmp_path):
     clip = load_clip(ClipSpec("t", "2019-04-01", 0), index_movies([movie]))
     assert predict(forced_output_params(1.0), clip).shape == (3, 3, 7, 9)
     movie.close()
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_predict_rounds_and_clamps_as_round_half_up_uint8(normalize, monkeypatch, one_clip):
+    # every half-integer from -1.5 to 256.5, the float32 values either side of
+    # it, and values far past the 0 and 255 clamps, as the network's float32 output
+    halves = np.arange(-2, 257).astype(np.float32) + np.float32(0.5)
+    values = np.concatenate([halves, np.float32([-3e38, -1, -0.0, 0, 255, 256, 3e38])])
+    if normalize:  # an output u is emitted as u * 255 + 128
+        values = ((values.astype(np.float64) - 128) / 255).astype(np.float32)
+    values = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    h = w = 17
+    out = np.resize(values, 9 * h * w).reshape(1, 9, h, w)
+    monkeypatch.setattr(trainer, "_batch_forward", lambda params, blocks: out)
+    params = forced_output_params(0.0)
+    params = tn.UNetParams(dataclasses.replace(params.config, normalize=normalize), params.tensors)
+    got = predict(params, one_clip)
+    emitted = out[0].astype(np.float64) * 255 + 128 if normalize else out[0].astype(np.float64)
+    assert got.dtype == np.uint8 and got.shape == (3, 3, h, w)
+    assert np.array_equal(got, tn.round_half_up_uint8(emitted).reshape(3, 3, h, w))
+    if not normalize:
+        def at(v):
+            return got.reshape(-1)[np.flatnonzero(out.reshape(-1) == v)[0]]
+
+        assert [at(v) for v in (0.5, 254.5, 255.5, -0.5, np.float32(3e38), np.float32(-3e38))] == [1, 255, 255, 0, 255, 0]
+        assert at(np.nextafter(np.float32(0.5), np.float32(0))) == 0
 
 
 @pytest.mark.parametrize("normalize", [False, True])
