@@ -20,7 +20,7 @@ from .baselines import (
     zero_baseline,
 )
 from .masks import Mask, apply_mask, build_mask
-from .tensor_nn import UNetConfig, UNetParams, init_params, load_params, save_params, unet_forward
+from .tensor_nn import UNetConfig, UNetParams, init_params, load_params, ringed_empty, save_params, unet_forward
 from .trainer import Metrics, SGDConfig, TrainState, evaluate, lr_schedule, predict, sgd_step, train
 
 __version__ = "0.1.0"

@@ -12,12 +12,13 @@ fresh ringed buffer, so no layer pads, crops or copies between kernels, and a
 concat is two contiguous channel blocks. The invariant: only the kernel that
 makes a ringed buffer writes its ring. A kernel trusts a buffer only after it
 has checked that the ring is zero (``_ring``); any other array, plain or a
-look-alike view, is padded into a copy. Every activation or gradient a kernel
-returns is ringed, and ``ringed_empty`` gives callers an input to fill. The
-ReLUs work in place on the array they are given. Conventions:
+look-alike view, is rejected (ValueError). Pools, the channel split and an
+up-conv's output gradient read views, of any array. Every activation or
+gradient a kernel returns is ringed, and ``ringed_empty`` gives callers an
+input to fill. The ReLUs work in place on the array they are given. Conventions:
 
   * convolutions are cross-correlations with zero same-padding, stride 1,
-    odd kernel sizes, computed per band of flat positions of the whole padded
+    kernel dims 1 or 3, computed per band of flat positions of the whole padded
     batch from the kh row shifts of its input: one matrix product puts the kw
     column taps in its output rows, and kw-1 shifted adds sum them; results
     are bit-reproducible for fixed array shapes, band budget
@@ -107,58 +108,41 @@ def ringed_empty(n: int, c: int, h: int, w: int, dtype=np.float32) -> np.ndarray
     return _interior(buf)
 
 
-def _buffer(x: np.ndarray) -> np.ndarray | None:
+def _buffer(x: np.ndarray) -> np.ndarray:
     """The (c, n, h+2, w+2) buffer whose interior ``x`` is, whatever its ring
-    holds, or None."""
-    if x.ndim != 4 or not isinstance(x.base, np.ndarray) or x.base.dtype != x.dtype:
-        return None
-    n, c, h, w = x.shape
-    s, H, W = x.itemsize, h + 2, w + 2
+    holds; ValueError if there is none."""
     base = x.base
-    if x.strides != (H * W * s, n * H * W * s, W * s, s) or not base.flags.c_contiguous:
-        return None
-    offset, misaligned = divmod(x.ctypes.data - base.ctypes.data, s)
-    start, size = offset - (W + 1), c * n * H * W
-    if misaligned or start < 0 or start + size > base.size:
-        return None
-    return base.reshape(-1)[start : start + size].reshape(c, n, H, W)
+    if x.ndim == 4 and isinstance(base, np.ndarray) and base.dtype == x.dtype and base.flags.c_contiguous:
+        n, c, h, w = x.shape
+        s, H, W = x.itemsize, h + 2, w + 2
+        offset, misaligned = divmod(x.ctypes.data - base.ctypes.data, s)
+        start, size = offset - (W + 1), c * n * H * W
+        strides = (H * W * s, n * H * W * s, W * s, s)
+        if x.strides == strides and not misaligned and 0 <= start <= base.size - size:
+            return base.reshape(-1)[start : start + size].reshape(c, n, H, W)
+    raise ValueError(f"a {x.shape} array that is not a ringed activation (see ringed_empty)")
 
 
-def _ring(x: np.ndarray) -> np.ndarray | None:
-    """``_buffer(x)`` if its ring is all zero, else None: a look-alike view is
-    never trusted."""
+def _ring(x: np.ndarray) -> np.ndarray:
+    """``_buffer(x)`` if its ring is all zero; ValueError otherwise, so a
+    look-alike view is never trusted."""
     buf = _buffer(x)
-    if buf is None:
-        return None
     rows, columns = _ring_rows_and_columns(buf)
-    return None if rows.any() or columns.any() else buf
-
-
-def _padded(x: np.ndarray, kh: int = 1, kw: int = 1) -> np.ndarray:
-    """(n, c, h, w) ``x`` as the channel-major (c, n, h+2*mh, w+2*mw) operand of an
-    odd (kh, kw) kernel, zero in its margins mh = max(1, kh//2) and mw = max(1, kw//2):
-    its own ringed buffer when the margins are the ring, else a zeroed copy."""
-    mh, mw = max(1, kh // 2), max(1, kw // 2)
-    if (mh, mw) == (1, 1):
-        buf = _ring(x)
-        if buf is not None:
-            return buf
-    n, c, h, w = x.shape
-    xp = np.zeros((c, n, h + 2 * mh, w + 2 * mw), dtype=x.dtype)
-    xp[:, :, mh : mh + h, mw : mw + w] = x.transpose(1, 0, 2, 3)
-    return xp
+    if rows.any() or columns.any():
+        raise ValueError("a ringed activation whose ring is not zero")
+    return buf
 
 
 def _row_bands(xp: np.ndarray, kh: int, kw: int, co: int):
-    """Yield (b0, b1, rows, taps) over bands of the flat positions of ``_padded``'s
-    (ci, n, H, W) ``xp``, for a kernel with ``co`` outputs. Position p reads
+    """Yield (b0, b1, rows, taps) over bands of the flat positions of a ringed
+    (ci, n, H, W) buffer ``xp``, for a kernel with ``co`` outputs. Position p reads
     ``xpf[:, p + dy*W + dx]`` for tap (dy, dx) of the flat ``xpf``, so a band needs
     only its kh row shifts: ``rows`` is (ci*kh, b1-b0+kw-1) with
     ``rows[c*kh + dy, q] = xpf[c, b0 + dy*W + q]``, and tap (dy, dx) of position
     b0+j is ``rows[:, j + dx]``. ``taps`` is an uninitialized (co*kw, b1-b0+kw-1)
     buffer for the band's GEMM with the column taps in M. Bands cross into the
-    next image; positions whose output lands in a margin are computed there, then
-    zeroed or cropped. The next band overwrites both buffers."""
+    next image; positions whose output lands in the ring are computed there, then
+    zeroed. The next band overwrites both buffers."""
     ci, W = xp.shape[0], xp.shape[3]
     xpf = xp.reshape(ci, -1)
     span = xpf.shape[1] - (kh - 1) * W - (kw - 1)  # one past the last position
@@ -175,10 +159,10 @@ def _row_bands(xp: np.ndarray, kh: int, kw: int, co: int):
 
 
 def _correlate(xp: np.ndarray, k: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
-    """Stride-1 cross-correlation, plus ``bias`` if given, of ``_padded``'s (ci, n,
-    H, W) ``xp`` into a (co, n, H, W) buffer of the same geometry, each output at
-    its input's position: flat position p + (kh//2)*W + kw//2 for band position p.
-    Margin cells are left as garbage or unwritten. One GEMM per band puts the
+    """Stride-1 cross-correlation, plus ``bias`` if given, of a ringed (ci, n, H, W)
+    buffer ``xp``, as the (n, co, h, w) interior of a fresh ringed buffer of the
+    same geometry, each output at its input's position: flat position
+    p + (kh//2)*W + kw//2 for band position p. One GEMM per band puts the
     column taps in M, ``P[(o, dx), q] = sum over (c, dy) of k[o, c, dy, dx] * rows[(c, dy), q]``,
     and position b0+j sums ``P[(o, dx), j + dx]`` over dx, then adds the bias."""
     co, ci, kh, kw = k.shape
@@ -194,36 +178,28 @@ def _correlate(xp: np.ndarray, k: np.ndarray, bias: np.ndarray | None = None) ->
             m = b1 - b0
             p = np.matmul(k2, rows, out=taps).reshape(co, kw, -1)
             np.add(p[:, 0, :m], p[:, 1, 1 : m + 1], out=acc)
-            for dx in range(2, kw):
-                acc += p[:, dx, dx : dx + m]
+            acc += p[:, 2, 2 : m + 2]
         if bias is not None:
             acc += bias[:, None]
-    return out
+    _zero_ring(out)  # the bands wrote garbage there, or nothing
+    return _interior(out)
 
 
-def _ringed_result(out: np.ndarray, h: int, w: int) -> np.ndarray:
-    """The (n, co, h, w) interior of ``_correlate``'s ``out``: ringed in place when
-    its margins are 1, else copied into a fresh ringed buffer."""
-    mh, mw = (out.shape[2] - h) // 2, (out.shape[3] - w) // 2
-    if (mh, mw) == (1, 1):
-        _zero_ring(out)
-        return _interior(out)
-    dst = ringed_empty(out.shape[1], out.shape[0], h, w, out.dtype)
-    dst[...] = out[:, :, mh : mh + h, mw : mw + w].transpose(1, 0, 2, 3)
-    return dst
+def _check_kernel_dims(k: np.ndarray) -> None:
+    if not {k.shape[2], k.shape[3]} <= {1, 3}:
+        raise ValueError(f"kernel dims {k.shape[2:]} are not 1 or 3: the ring pads one pixel")
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 cross-correlation: (n,ci,h,w) * (co,ci,kh,kw) -> (n,co,h,w)."""
-    n, ci, h, w = x.shape
-    co, ci_k, kh, kw = k.shape
+    ci = x.shape[1]
+    co, ci_k = k.shape[:2]
     if ci != ci_k:
         raise ValueError(f"input has {ci} channels, kernel expects {ci_k}")
     if bias.shape != (co,):
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError("same padding requires odd kernel dims")
-    return _ringed_result(_correlate(_padded(x, kh, kw), k, bias), h, w)
+    _check_kernel_dims(k)
+    return _correlate(_ring(x), k, bias)
 
 
 def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input_grad: bool = True):
@@ -233,10 +209,10 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input
     co, _, kh, kw = k.shape
     if grad_out.shape != (n, co, h, w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, h, w)}")
-    xp = _padded(x, kh, kw)
-    gp = _padded(grad_out, kh, kw)
+    _check_kernel_dims(k)
+    xp, gp = _ring(x), _ring(grad_out)
     gpf = gp.reshape(co, -1)
-    shift = (kh // 2) * gp.shape[3] + kw // 2  # gpf[:, p + shift]: grad_out at p, 0 in a margin
+    shift = (kh // 2) * gp.shape[3] + kw // 2  # gpf[:, p + shift]: grad_out at p, 0 in the ring
     # grad_k[(o, dx), (c, dy)] sums grad_out at b0+j times rows[(c, dy), j + dx]: one
     # GEMM per band against grad_out copied kw times, shifted by dx, zero where j is
     # outside the band
@@ -249,20 +225,18 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input
             g[:, dx, dx : dx + m] = gpf[:, b0 + shift : b1 + shift]
             g[:, dx, dx + m :] = 0
         grad_k += taps @ rows.T
-    del xp, rows, taps, g  # grad_x's buffers need not sit on top of a padded copy of x
+    del rows, taps, g  # the band buffers need not sit beside grad_x's
     grad_k = grad_k.reshape(co, kw, ci, kh).transpose(0, 2, 3, 1).copy()
-    grad_bias = gpf.sum(axis=1)  # the margins add zeros
+    grad_bias = gpf.sum(axis=1)  # the ring adds zeros
     if not input_grad:
         return None, grad_k, grad_bias
     # the input gradient correlates grad_out with the flipped, transposed kernel
-    grad_x = _correlate(gp, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _ringed_result(grad_x, h, w), grad_k, grad_bias
+    return _correlate(gp, k[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)), grad_k, grad_bias
 
 
 def relu_forward(x: np.ndarray) -> np.ndarray:
     """max(x, 0), written into ``x`` and returned: the caller hands over an array it owns."""
     buf = _ring(x)
-    buf = x if buf is None else buf
     np.maximum(buf, 0, out=buf)
     return x
 
@@ -271,11 +245,10 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gradient passes where x > 0; the subgradient at exactly 0 is 0. ``x`` may
     be the ReLU's input or its output: ``x > 0`` is the same mask for both,
     also for NaN and -0.0. Written into ``grad_out``, which is returned."""
-    # whole buffers when grad_out's ring is zero: that ring times any mask, also one
-    # read from x's ring, stays zero
+    if x.shape != grad_out.shape:
+        raise ValueError(f"x shape {x.shape} != grad_out shape {grad_out.shape}")
+    # whole buffers: grad_out's zero ring times any mask, also one read from x's ring, stays zero
     xb, gb = _buffer(x), _ring(grad_out)
-    if xb is None or gb is None:
-        xb, gb = x, grad_out
     np.multiply(gb, xb > 0, out=gb)
     return grad_out
 
@@ -298,6 +271,8 @@ def maxpool2d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     """Gradient w.r.t. the forward input ``x``: each window's grad_out goes to its
     first row-major element equal to the window max; a NaN window equals nothing."""
     m = _window_max(x)  # not maxpool2d_forward: the backward is no second forward
+    if grad_out.shape != m.shape:
+        raise ValueError(f"grad_out shape {grad_out.shape} != {m.shape}")
     grad = ringed_empty(*x.shape, grad_out.dtype)
     routed = np.zeros(m.shape, dtype=bool)
     for dy, dx in _WINDOW:  # the four views cover grad exactly once
@@ -317,7 +292,7 @@ def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarr
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
     # one (4co, ci) GEMM over the ringed input gives every tap; row o*4 + dy*2 + dx
     # lands at (2y+dy, 2x+dx). The bias is added while the taps are contiguous.
-    taps = (k.reshape(ci, 4 * co).T @ _padded(x).reshape(ci, -1)).reshape(co, 4, -1)
+    taps = (k.reshape(ci, 4 * co).T @ _ring(x).reshape(ci, -1)).reshape(co, 4, -1)
     taps += bias[:, None, None]
     taps = taps.reshape(co, 2, 2, n, h + 2, w + 2)
     out = ringed_empty(n, co, 2 * h, 2 * w, taps.dtype)
@@ -340,9 +315,10 @@ def upconv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     g.reshape(co, 2, 2, n, h + 2, w + 2)[..., 1:-1, 1:-1] = shuffled
     g = g.reshape(4 * co, -1)
     grad_x = (k.reshape(ci, 4 * co) @ g).reshape(ci, n, h + 2, w + 2)
-    grad_k = _padded(x).reshape(ci, -1) @ g.T  # the rings add zeros
+    _zero_ring(grad_x)
+    grad_k = _ring(x).reshape(ci, -1) @ g.T  # the rings add zeros
     grad_bias = g.reshape(co, -1).sum(axis=1)
-    return _ringed_result(grad_x, h, w), grad_k.reshape(k.shape), grad_bias
+    return _interior(grad_x), grad_k.reshape(k.shape), grad_bias
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -351,17 +327,15 @@ def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     n, fa, h, w = a.shape
     buf = np.empty((fa + b.shape[1], n, h + 2, w + 2), dtype=np.result_type(a, b))
-    buf[:fa] = _padded(a)
-    buf[fa:] = _padded(b)
+    buf[:fa] = _ring(a)
+    buf[fa:] = _ring(b)
     return _interior(buf)
 
 
 def _add_ringed(a: np.ndarray, b: np.ndarray) -> None:
-    """a += b, over whole buffers where both are ringed: their zero rings sum to zero."""
-    ab, bb = _ring(a), _ring(b)
-    if ab is None or bb is None:
-        ab, bb = a, b
-    ab += bb
+    """a += b, over the whole buffers of ringed a and b: their zero rings sum to zero."""
+    ab = _ring(a)
+    ab += _ring(b)
 
 
 def split_channels(grad: np.ndarray, first_channels: int):
@@ -528,7 +502,8 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
 
 
 def unet_forward_cached(params: UNetParams, x: np.ndarray):
-    """Forward pass returning (output, cache), one cache entry per layer of ``_layers``:
+    """Forward pass on a ringed input (``ringed_empty``) returning (output, cache),
+    one cache entry per layer of ``_layers``:
     the input of conv/up/pool, the output of relu (the array the next layer caches,
     so it is held once) and the skip's channel count for concat. A pool's entry and
     its ReLU's are one view of the skip's channels in the concat, which the next
@@ -560,7 +535,8 @@ def cache_bytes(cfg: UNetConfig, n: int, h: int, w: int, dtype=np.float32) -> in
 
 
 def unet_forward(params: UNetParams, x: np.ndarray) -> np.ndarray:
-    """Run the network holding only the skips; output dims equal the (aligned) input dims."""
+    """Run the network on a ringed input (``ringed_empty``), holding only the skips;
+    output dims equal the (aligned) input dims."""
     return _forward(params, x, None)
 
 

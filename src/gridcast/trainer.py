@@ -101,7 +101,7 @@ def sgd_step(
     state: TrainState,
     grads: dict[str, np.ndarray],
     lr: float,
-    momentum: float = 0.9,
+    momentum: float,
 ) -> TrainState:
     """One in-place Nesterov-momentum SGD update over every parameter tensor."""
     for name, p in state.params.tensors.items():
@@ -249,7 +249,7 @@ def validation_losses(
     params: UNetParams,
     clips: list[Clip],
     test_slots: set[int] | None,
-    batch_size: int = 5,
+    batch_size: int,
 ) -> tuple[float, float]:
     """Unclamped MSE over all clips and over the test-slot subset (NaN if empty)."""
     cfg = params.config

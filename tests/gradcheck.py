@@ -1,37 +1,38 @@
-"""Central finite-difference helpers shared by gradient tests."""
+"""Helpers shared by gradient tests: central finite differences, and inputs in
+the kernels' ringed layout."""
 
 import numpy as np
+
+from gridcast import tensor_nn as tn
+
+
+def ringed(a):
+    """A copy of ``a`` in the kernels' ringed layout."""
+    x = tn.ringed_empty(*a.shape, a.dtype)
+    x[...] = a
+    return x
+
+
+def numeric_grad_sampled(f, x, indices, eps=1e-4):
+    """Central differences at selected flat (row-major) indices only. Each
+    coordinate is perturbed in ``x`` itself, so a view such as a ringed
+    activation is perturbed where the kernels read it."""
+    out = np.zeros(len(indices), dtype=x.dtype)
+    for j, i in enumerate(indices):
+        at = np.unravel_index(i, x.shape)
+        old = x[at]
+        x[at] = old + eps
+        lp = f()
+        x[at] = old - eps
+        lm = f()
+        x[at] = old
+        out[j] = (lp - lm) / (2 * eps)
+    return out
 
 
 def numeric_grad(f, x, eps=1e-4):
     """d f() / d x by central differences, mutating x in place coordinate-wise."""
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        old = flat[i]
-        flat[i] = old + eps
-        lp = f()
-        flat[i] = old - eps
-        lm = f()
-        flat[i] = old
-        gflat[i] = (lp - lm) / (2 * eps)
-    return grad
-
-
-def numeric_grad_sampled(f, x, indices, eps=1e-4):
-    """Central differences at selected flat indices only; returns (numeric, indices)."""
-    flat = x.reshape(-1)
-    out = np.zeros(len(indices), dtype=x.dtype)
-    for j, i in enumerate(indices):
-        old = flat[i]
-        flat[i] = old + eps
-        lp = f()
-        flat[i] = old - eps
-        lm = f()
-        flat[i] = old
-        out[j] = (lp - lm) / (2 * eps)
-    return out
+    return numeric_grad_sampled(f, x, range(x.size), eps).reshape(x.shape)
 
 
 def max_rel_err(analytic, numeric):

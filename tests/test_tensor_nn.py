@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gradcheck import max_rel_err, numeric_grad
+from gradcheck import max_rel_err, numeric_grad, numeric_grad_sampled, ringed
 from gridcast import tensor_nn as tn
 
 
@@ -16,7 +16,7 @@ from gridcast import tensor_nn as tn
 
 def test_conv_identity_kernel():
     rng = np.random.default_rng(0)
-    x = rng.normal(size=(2, 3, 5, 5))
+    x = ringed(rng.normal(size=(2, 3, 5, 5)))
     k = np.zeros((3, 3, 1, 1))
     for i in range(3):
         k[i, i, 0, 0] = 1.0
@@ -25,7 +25,7 @@ def test_conv_identity_kernel():
 
 
 def test_conv_ones_kernel_edge_effects():
-    x = np.ones((1, 1, 4, 4))
+    x = ringed(np.ones((1, 1, 4, 4)))
     out = tn.conv2d_forward(x, np.ones((1, 1, 3, 3)), np.zeros(1))[0, 0]
     assert out[1, 1] == out[1, 2] == 9  # interior
     assert out[0, 0] == out[0, 3] == out[3, 0] == out[3, 3] == 4  # corners
@@ -33,7 +33,7 @@ def test_conv_ones_kernel_edge_effects():
 
 
 def test_conv_zero_kernel_gives_bias():
-    x = np.random.default_rng(1).normal(size=(1, 2, 3, 3))
+    x = ringed(np.random.default_rng(1).normal(size=(1, 2, 3, 3)))
     out = tn.conv2d_forward(x, np.zeros((4, 2, 3, 3)), np.array([1.0, -2.0, 0.5, 0.0]))
     for co, b in enumerate([1.0, -2.0, 0.5, 0.0]):
         assert np.all(out[0, co] == b)
@@ -41,17 +41,17 @@ def test_conv_zero_kernel_gives_bias():
 
 def test_conv_backward_zero_grad():
     rng = np.random.default_rng(2)
-    x = rng.normal(size=(1, 2, 4, 4))
+    x = ringed(rng.normal(size=(1, 2, 4, 4)))
     k = rng.normal(size=(3, 2, 3, 3))
-    gx, gk, gb = tn.conv2d_backward(x, k, np.zeros((1, 3, 4, 4)))
+    gx, gk, gb = tn.conv2d_backward(x, k, ringed(np.zeros((1, 3, 4, 4))))
     assert not gx.any() and not gk.any() and not gb.any()
 
 
 def test_conv_backward_bias_is_channel_sum():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(2, 2, 4, 4))
+    x = ringed(rng.normal(size=(2, 2, 4, 4)))
     k = rng.normal(size=(3, 2, 3, 3))
-    go = rng.normal(size=(2, 3, 4, 4))
+    go = ringed(rng.normal(size=(2, 3, 4, 4)))
     _, _, gb = tn.conv2d_backward(x, k, go)
     assert np.allclose(gb, go.sum(axis=(0, 2, 3)))
 
@@ -59,10 +59,10 @@ def test_conv_backward_bias_is_channel_sum():
 @pytest.mark.parametrize("seed", range(5))
 def test_conv_backward_finite_difference(seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 3, 5, 5))
+    x = ringed(rng.normal(size=(2, 3, 5, 5)))
     k = rng.normal(size=(2, 3, 3, 3))
     b = rng.normal(size=2)
-    go = rng.normal(size=(2, 2, 5, 5))
+    go = ringed(rng.normal(size=(2, 2, 5, 5)))
     loss = lambda: float(np.sum(go * tn.conv2d_forward(x, k, b)))
     gx, gk, gb = tn.conv2d_backward(x, k, go)
     assert max_rel_err(gx, numeric_grad(loss, x)) < 1e-5
@@ -73,25 +73,40 @@ def test_conv_backward_finite_difference(seed):
 # ---------------------------------------------------------------------------
 # relu
 
+def row(values):
+    """``values`` as one ringed (1, 1, 1, len) image row."""
+    return ringed(np.array(values, dtype=np.float64).reshape(1, 1, 1, -1))
+
+
 def test_relu_values_and_gradient():
-    x = np.array([-1.0, 0.0, 2.0])
-    assert tn.relu_forward(x.copy()).tolist() == [0.0, 0.0, 2.0]
-    assert tn.relu_backward(x, np.ones(3)).tolist() == [0.0, 0.0, 1.0]
+    x = row([-1.0, 0.0, 2.0])
+    assert tn.relu_forward(ringed(x)).tolist() == [[[[0.0, 0.0, 2.0]]]]
+    assert tn.relu_backward(x, row([1.0] * 3)).tolist() == [[[[0.0, 0.0, 1.0]]]]
 
 
 def test_relu_works_in_place_on_the_array_it_is_given():
-    x, g = np.array([-1.0, 0.0, 2.0]), np.array([3.0, 4.0, 5.0])
-    assert tn.relu_forward(x) is x and x.tolist() == [0.0, 0.0, 2.0]
-    assert tn.relu_backward(x, g) is g and g.tolist() == [0.0, 0.0, 5.0]
+    x, g = row([-1.0, 0.0, 2.0]), row([3.0, 4.0, 5.0])
+    assert tn.relu_forward(x) is x and x.tolist() == [[[[0.0, 0.0, 2.0]]]]
+    assert tn.relu_backward(x, g) is g and g.tolist() == [[[[0.0, 0.0, 5.0]]]]
+
+
+def test_relu_backward_rejects_an_x_of_another_shape():
+    # their buffers would broadcast: an x of batch 1 masked every image of grad_out
+    rng = np.random.default_rng(17)
+    x, g = ringed(rng.normal(size=(1, 2, 3, 4))), ringed(rng.normal(size=(3, 2, 3, 4)))
+    before = g.copy()
+    with pytest.raises(ValueError, match="shape"):
+        tn.relu_backward(x, g)
+    assert np.array_equal(g, before)
 
 
 def test_relu_finite_difference_away_from_zero():
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(40,))
+    x = ringed(rng.normal(size=(1, 2, 4, 5)))
     x[np.abs(x) < 0.05] = 0.5  # keep clear of the kink
-    go = rng.normal(size=40)
-    loss = lambda: float(np.sum(go * tn.relu_forward(x.copy())))  # in place: x must stay
-    assert max_rel_err(tn.relu_backward(x, go.copy()), numeric_grad(loss, x)) < 1e-5
+    go = rng.normal(size=x.shape)
+    loss = lambda: float(np.sum(go * tn.relu_forward(ringed(x))))  # in place: x must stay
+    assert max_rel_err(tn.relu_backward(x, ringed(go)), numeric_grad(loss, x)) < 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +150,29 @@ def test_maxpool_backward_does_not_call_the_forward(monkeypatch):
     assert grad[0, 0].tolist() == [[0.0, 2.5], [0.0, 0.0]]
 
 
+@pytest.mark.parametrize("shape", [(1, 2, 2, 3), (3, 2, 1, 1), (3, 2, 4, 6), (3, 1, 2, 3)])
+def test_maxpool_backward_rejects_a_mis_shaped_grad_out(shape):
+    # numpy would broadcast the first two into a wrong gradient
+    x = np.random.default_rng(15).normal(size=(3, 2, 4, 6))
+    with pytest.raises(ValueError, match="grad_out shape"):
+        tn.maxpool2d_backward(x, np.ones(shape))
+
+
+def test_maxpool_numeric_gradient_of_a_ringed_view_equals_a_contiguous_copys():
+    # finite differences perturb the view itself, where the kernel reads it
+    rng = np.random.default_rng(16)
+    x = rng.permutation(2 * 48).astype(np.float64).reshape(1, 2, 6, 8)  # untied
+    go = rng.normal(size=(1, 2, 3, 4))
+    xr = ringed(x)
+    grads = [numeric_grad(lambda: float(np.sum(go * tn.maxpool2d_forward(a))), a) for a in (x, xr)]
+    np.testing.assert_allclose(grads[1], grads[0], rtol=1e-6, atol=1e-9)
+    np.testing.assert_allclose(grads[0], tn.maxpool2d_backward(x, go), rtol=1e-6, atol=1e-9)
+    idx = [0, 9, 40, 95]
+    sampled = numeric_grad_sampled(lambda: float(np.sum(go * tn.maxpool2d_forward(xr))), xr, idx)
+    np.testing.assert_allclose(sampled, grads[0].reshape(-1)[idx], rtol=1e-6, atol=1e-9)
+    assert np.array_equal(xr, x)  # every perturbation undone
+
+
 def test_maxpool_rejects_odd_dims():
     with pytest.raises(ValueError):
         tn.maxpool2d_forward(np.zeros((1, 1, 3, 4)))
@@ -157,7 +195,7 @@ def test_maxpool_finite_difference_untied(seed):
 # upconv
 
 def test_upconv_broadcasts_single_value():
-    x = np.full((1, 1, 1, 1), 3.5)
+    x = ringed(np.full((1, 1, 1, 1), 3.5))
     out = tn.upconv2d_forward(x, np.ones((1, 1, 2, 2)), np.zeros(1))
     assert out.shape == (1, 1, 2, 2)
     assert np.all(out == 3.5)
@@ -165,7 +203,7 @@ def test_upconv_broadcasts_single_value():
 
 def test_upconv_zero_input_gives_bias():
     out = tn.upconv2d_forward(
-        np.zeros((1, 2, 3, 3)), np.zeros((2, 3, 2, 2)), np.array([1.0, 2.0, -1.0])
+        ringed(np.zeros((1, 2, 3, 3))), np.zeros((2, 3, 2, 2)), np.array([1.0, 2.0, -1.0])
     )
     assert out.shape == (1, 3, 6, 6)
     for co, b in enumerate([1.0, 2.0, -1.0]):
@@ -175,7 +213,7 @@ def test_upconv_zero_input_gives_bias():
 @pytest.mark.parametrize("seed", range(5))
 def test_upconv_backward_finite_difference(seed):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=(2, 3, 4, 4))
+    x = ringed(rng.normal(size=(2, 3, 4, 4)))
     k = rng.normal(size=(3, 2, 2, 2))
     b = rng.normal(size=2)
     go = rng.normal(size=(2, 2, 8, 8))
@@ -190,8 +228,8 @@ def test_upconv_backward_finite_difference(seed):
 # concat / mse / rounding
 
 def test_concat_and_split_shapes():
-    a = np.zeros((2, 4, 3, 3))
-    b = np.ones((2, 6, 3, 3))
+    a = ringed(np.zeros((2, 4, 3, 3)))
+    b = ringed(np.ones((2, 6, 3, 3)))
     cat = tn.concat_channels(a, b)
     assert cat.shape == (2, 10, 3, 3)
     ga, gb = tn.split_channels(cat, 4)
@@ -201,7 +239,7 @@ def test_concat_and_split_shapes():
 
 def test_concat_rejects_mismatch():
     with pytest.raises(ValueError):
-        tn.concat_channels(np.zeros((1, 2, 3, 3)), np.zeros((1, 2, 4, 4)))
+        tn.concat_channels(ringed(np.zeros((1, 2, 3, 3))), ringed(np.zeros((1, 2, 4, 4))))
 
 
 def test_mse_loss_values():
@@ -243,21 +281,22 @@ def toy_config(**kw):
 
 def test_unet_shapes_toy():
     params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
-    out = tn.unet_forward(params, np.random.default_rng(0).normal(size=(1, 4, 16, 16)))
+    out = tn.unet_forward(params, ringed(np.random.default_rng(0).normal(size=(1, 4, 16, 16))))
     assert out.shape == (1, 2, 16, 16)
 
 
 def test_unet_full_scale_shape():
     cfg = tn.UNetConfig(depth=5, in_channels=36, out_channels=9, base_channels=4)
     params = tn.init_params(cfg, seed=0)
-    x = np.zeros((1, 36, 496, 448), dtype=np.float32)
+    x = tn.ringed_empty(1, 36, 496, 448)
+    x[...] = 0
     assert tn.unet_forward(params, x).shape == (1, 9, 496, 448)
 
 
 def test_unet_rejects_misaligned_input():
     params = tn.init_params(toy_config(), seed=0)
     with pytest.raises(ValueError):
-        tn.unet_forward(params, np.zeros((1, 4, 15, 16), dtype=np.float32))
+        tn.unet_forward(params, ringed(np.zeros((1, 4, 15, 16), dtype=np.float32)))
 
 
 def test_unet_zero_params_output_is_head_bias():
@@ -265,7 +304,7 @@ def test_unet_zero_params_output_is_head_bias():
     for name, arr in params.tensors.items():
         arr[:] = 0.0
     params.tensors["head.b"][:] = [2.5, -1.0]
-    out = tn.unet_forward(params, np.random.default_rng(1).normal(size=(1, 4, 8, 8)))
+    out = tn.unet_forward(params, ringed(np.random.default_rng(1).normal(size=(1, 4, 8, 8))))
     assert np.all(out[0, 0] == 2.5) and np.all(out[0, 1] == -1.0)
 
 
@@ -279,16 +318,16 @@ def test_unet_channel_bookkeeping():
 
 def test_unet_backward_zero_grad_out():
     params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
-    x = np.random.default_rng(2).normal(size=(1, 4, 8, 8))
+    x = ringed(np.random.default_rng(2).normal(size=(1, 4, 8, 8)))
     _, cache = tn.unet_forward_cached(params, x)
-    grads = tn.unet_backward_cached(params, cache, np.zeros((1, 2, 8, 8)))
+    grads = tn.unet_backward_cached(params, cache, ringed(np.zeros((1, 2, 8, 8))))
     assert all(not g.any() for g in grads.values())
 
 
 def test_unet_grad_shapes_mirror_params():
     params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
-    x = np.random.default_rng(3).normal(size=(2, 4, 8, 8))
-    go = np.random.default_rng(4).normal(size=(2, 2, 8, 8))
+    x = ringed(np.random.default_rng(3).normal(size=(2, 4, 8, 8)))
+    go = ringed(np.random.default_rng(4).normal(size=(2, 2, 8, 8)))
     _, cache = tn.unet_forward_cached(params, x)
     grads = tn.unet_backward_cached(params, cache, go)
     assert list(grads) == list(params.tensors)
@@ -298,8 +337,8 @@ def test_unet_grad_shapes_mirror_params():
 
 def test_unet_backward_without_input_grad_skips_only_the_first_conv(monkeypatch):
     params = tn.init_params(toy_config(), seed=0, dtype=np.float64)
-    x = np.random.default_rng(3).normal(size=(2, 4, 8, 8))
-    go = np.random.default_rng(4).normal(size=(2, 2, 8, 8))
+    x = ringed(np.random.default_rng(3).normal(size=(2, 4, 8, 8)))
+    go = ringed(np.random.default_rng(4).normal(size=(2, 2, 8, 8)))
     skipped = []
     conv2d_backward = tn.conv2d_backward
 
@@ -313,7 +352,7 @@ def test_unet_backward_without_input_grad_skips_only_the_first_conv(monkeypatch)
     assert type(grads) is dict and list(grads) == list(params.tensors)
     assert skipped[-1] and not any(skipped[:-1])  # only enc0.conv1, which runs last
     k = params.tensors["enc0.conv1.w"]
-    assert conv2d_backward(x, k, np.ones((2, 3, 8, 8)), input_grad=False)[0] is None
+    assert conv2d_backward(x, k, ringed(np.ones((2, 3, 8, 8))), input_grad=False)[0] is None
 
 
 def test_unet_backward_finite_difference():
@@ -321,8 +360,8 @@ def test_unet_backward_finite_difference():
     cfg = tn.UNetConfig(depth=2, in_channels=2, out_channels=1, base_channels=3)
     params = tn.init_params(cfg, seed=7, dtype=np.float64)
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(1, 2, 8, 8))
-    go = rng.normal(size=(1, 1, 8, 8))
+    x = ringed(rng.normal(size=(1, 2, 8, 8)))
+    go = ringed(rng.normal(size=(1, 1, 8, 8)))
     _, cache = tn.unet_forward_cached(params, x)
     grads = tn.unet_backward_cached(params, cache, go)
     loss = lambda: float(np.sum(go * tn.unet_forward(params, x)))
@@ -333,7 +372,7 @@ def test_unet_backward_finite_difference():
 
 def test_unet_forward_deterministic():
     params = tn.init_params(toy_config(), seed=3)
-    x = np.random.default_rng(5).normal(size=(2, 4, 16, 16)).astype(np.float32)
+    x = ringed(np.random.default_rng(5).normal(size=(2, 4, 16, 16)).astype(np.float32))
     a = tn.unet_forward(params, x)
     b = tn.unet_forward(params, x)
     assert a.tobytes() == b.tobytes()
@@ -342,7 +381,7 @@ def test_unet_forward_deterministic():
 def test_unet_cache_holds_each_activation_once_and_backward_empties_it():
     cfg = tn.UNetConfig(depth=3, in_channels=4, out_channels=2, base_channels=3)
     params = tn.init_params(cfg, seed=0, dtype=np.float64)
-    x = np.random.default_rng(6).normal(size=(2, 4, 8, 8))
+    x = ringed(np.random.default_rng(6).normal(size=(2, 4, 8, 8)))
     _, cache = tn.unet_forward_cached(params, x)
     layers = tn._layers(cfg)
     assert {kind for kind, _, _ in layers} == {"conv", "relu", "pool", "up", "concat"}
@@ -356,7 +395,7 @@ def test_unet_cache_holds_each_activation_once_and_backward_empties_it():
             assert type(cache[i]) is int  # the skip's channel count
         else:
             assert isinstance(cache[i], np.ndarray), (i, kind)
-    tn.unet_backward_cached(params, cache, np.ones((2, 2, 8, 8)))
+    tn.unet_backward_cached(params, cache, ringed(np.ones((2, 2, 8, 8))))
     assert cache == []
 
 
@@ -383,13 +422,6 @@ def cache_bytes(cfg, n, h, w, itemsize):
         f = cfg.level_channels(i)
         planes += f * area(i) + (f * area(i) if i == cfg.depth - 1 else f * area(i + 1) + 4 * f * area(i))
     return n * planes * itemsize
-
-
-def ringed(a):
-    """A copy of ``a`` in the kernels' ringed layout."""
-    x = tn.ringed_empty(*a.shape, a.dtype)
-    x[...] = a
-    return x
 
 
 def test_unet_cache_holds_each_skip_once_inside_its_concat():
@@ -436,7 +468,7 @@ def test_unet_forward_without_cache_peaks_well_below_the_cached_forward(monkeypa
     monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**12)
     cfg = tn.UNetConfig(depth=3, in_channels=4, out_channels=2, base_channels=4)
     params = tn.init_params(cfg, seed=0, dtype=np.float64)
-    x = np.random.default_rng(7).normal(size=(1, 4, 64, 64))
+    x = ringed(np.random.default_rng(7).normal(size=(1, 4, 64, 64)))
     peaks = []
     for forward in (tn.unet_forward, tn.unet_forward_cached):
         tracemalloc.start()
@@ -450,9 +482,9 @@ def test_unet_forward_without_cache_peaks_well_below_the_cached_forward(monkeypa
 
 
 def test_relu_backward_same_mask_on_output():
-    x = np.array([np.nan, -0.0, 0.0, 1.5, -1.5, 1e-300, -1e-300, np.inf, -np.inf])
-    g = np.arange(1.0, x.size + 1)
-    assert np.array_equal(tn.relu_backward(tn.relu_forward(x.copy()), g.copy()), tn.relu_backward(x, g))
+    x = row([np.nan, -0.0, 0.0, 1.5, -1.5, 1e-300, -1e-300, np.inf, -np.inf])
+    g = row(np.arange(1.0, x.size + 1))
+    assert np.array_equal(tn.relu_backward(tn.relu_forward(ringed(x)), ringed(g)), tn.relu_backward(x, g))
 
 
 # ---------------------------------------------------------------------------
@@ -656,12 +688,12 @@ def naive_conv_backward(x, k, go):
 def assert_conv_matches_naive(x, k, rng):
     b = rng.normal(size=k.shape[0])
     go = rng.normal(size=(x.shape[0], k.shape[0], *x.shape[2:]))
-    np.testing.assert_allclose(tn.conv2d_forward(x, k, b), naive_conv(x, k, b), rtol=1e-12, atol=1e-12)
-    for got, want in zip(tn.conv2d_backward(x, k, go), naive_conv_backward(x, k, go)):
+    np.testing.assert_allclose(tn.conv2d_forward(ringed(x), k, b), naive_conv(x, k, b), rtol=1e-12, atol=1e-12)
+    for got, want in zip(tn.conv2d_backward(ringed(x), k, ringed(go)), naive_conv_backward(x, k, go)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-11)
 
 
-@pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (1, 3), (5, 3), (3, 1)])
+@pytest.mark.parametrize("kh,kw", [(1, 1), (3, 3), (1, 3), (3, 1)])
 def test_conv_matches_direct_loops(kh, kw):
     rng = np.random.default_rng(kh * 10 + kw)
     for ci, co in ((3, 4), (3, 6), (5, 2)):  # co > ci, co = 2*ci and co < ci
@@ -678,13 +710,13 @@ def test_conv_matches_direct_loops_across_row_bands():
     assert_conv_matches_naive(x, k, rng)
 
 
-@pytest.mark.parametrize("kh,kw", [(3, 3), (1, 1), (1, 3), (5, 3)])
+@pytest.mark.parametrize("kh,kw", [(3, 3), (1, 1), (1, 3)])
 def test_conv_matches_direct_loops_with_bands_across_images(kh, kw, monkeypatch):
     rng = np.random.default_rng(20 + kh * 10 + kw)
     n, ci, h, w = 3, 2, 5, 6
     monkeypatch.setattr(tn, "_BAND_ELEMENTS", max(ci * kh, ci * kw) * 37)  # 37 positions per band
     x = rng.normal(size=(n, ci, h, w))
-    xp = tn._padded(x, kh, kw)
+    xp = tn._ring(ringed(x))
     image = xp.shape[2] * xp.shape[3]  # flat positions of one padded image
     bands = [(b0, b1) for b0, b1, _, _ in tn._row_bands(xp, kh, kw, ci)]
     assert any(b0 // image < (b1 - 1) // image for b0, b1 in bands)  # a band spans two images
@@ -692,15 +724,11 @@ def test_conv_matches_direct_loops_with_bands_across_images(kh, kw, monkeypatch)
 
 
 def test_1x1_conv_at_batch_one_copies_nothing():
-    # nor at any batch: a ringed input is its own padded operand, and the
-    # output is the buffer the GEMMs fill
+    # nor at any batch: a ringed input is its own padded operand
     rng = np.random.default_rng(9)
     for n in (1, 2):
         x = ringed(rng.normal(size=(n, 4, 5, 6)))
-        assert np.shares_memory(tn._padded(x, 1, 1), x)
-        assert not np.shares_memory(tn._padded(x.copy(), 1, 1), x)
-        out = np.empty((3, n, 7, 8))
-        assert np.shares_memory(tn._ringed_result(out, 5, 6), out)
+        assert np.shares_memory(tn._ring(x), x)
         assert_conv_matches_naive(x, rng.normal(size=(3, 4, 1, 1)), rng)
 
 
@@ -724,8 +752,8 @@ def test_upconv_matches_direct_loops(ci, co):
                         g = go[i, :, 2 * y + dy, 2 * xx + dx]
                         gx[i, :, y, xx] += k[:, :, dy, dx] @ g
                         gk[:, :, dy, dx] += np.multiply.outer(x[i, :, y, xx], g)
-    np.testing.assert_allclose(tn.upconv2d_forward(x, k, b), out, rtol=1e-12, atol=1e-12)
-    got = tn.upconv2d_backward(x, k, go)
+    np.testing.assert_allclose(tn.upconv2d_forward(ringed(x), k, b), out, rtol=1e-12, atol=1e-12)
+    got = tn.upconv2d_backward(ringed(x), k, go)
     for g, want in zip(got, (gx, gk, go.sum(axis=(0, 2, 3)))):
         np.testing.assert_allclose(g, want, rtol=1e-12, atol=1e-12)
 
@@ -762,10 +790,10 @@ def test_conv_peak_memory_below_full_image_im2col():
     # numpy reports its buffers to tracemalloc; a single unbanded column matrix
     # for this layer would be ci*9*h*w float32 values (151 MB)
     rng = np.random.default_rng(10)
-    x = rng.normal(size=(1, 64, 256, 256)).astype(np.float32)
+    x = ringed(rng.normal(size=(1, 64, 256, 256)).astype(np.float32))
     k = rng.normal(size=(64, 64, 3, 3)).astype(np.float32)
     b = np.zeros(64, np.float32)
-    go = rng.normal(size=x.shape).astype(np.float32)
+    go = ringed(rng.normal(size=x.shape).astype(np.float32))
     full_cols = 64 * 9 * 256 * 256 * 4
     tracemalloc.start()
     try:
@@ -777,45 +805,6 @@ def test_conv_peak_memory_below_full_image_im2col():
             assert peak < full_cols, f"{call.__name__} peaked at {peak / 1e6:.0f} MB"
     finally:
         tracemalloc.stop()
-
-
-def test_conv_backward_frees_the_padded_input_before_grad_x(monkeypatch):
-    # grad_k needs the padded x and grad_out; grad_x needs the padded grad_out,
-    # the padded buffer its GEMMs fill and the cropped grad_x, which is smaller
-    # than the padded x. All of them at once means the padded x outlived grad_k.
-    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**10)
-    rng = np.random.default_rng(11)
-    x = rng.normal(size=(4, 64, 16, 24)).astype(np.float32)
-    k = rng.normal(size=(4, 64, 3, 3)).astype(np.float32)
-    go = rng.normal(size=(4, 4, 16, 24)).astype(np.float32)
-    padded_x, padded_go = x.nbytes * 18 * 26 // (16 * 24), go.nbytes * 18 * 26 // (16 * 24)
-    padded_grad_x = padded_x
-    tracemalloc.start()
-    try:
-        tn.conv2d_backward(x, k, go)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < padded_x + padded_go + padded_grad_x, f"peaked at {peak} B"
-
-
-def test_conv_backward_frees_the_padded_grad_out_before_cropping_grad_x(monkeypatch):
-    # with ci > co, grad_x's padded buffer is the backward's largest array; it is
-    # returned as it is, so no cropped copy of it may sit beside the padded grad_out
-    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**10)
-    rng = np.random.default_rng(12)
-    x = rng.normal(size=(2, 64, 32, 40)).astype(np.float32)
-    k = rng.normal(size=(4, 64, 3, 3)).astype(np.float32)
-    go = rng.normal(size=(2, 4, 32, 40)).astype(np.float32)
-    padded_grad_x, padded_go = x.nbytes * 34 * 42 // (32 * 40), go.nbytes * 34 * 42 // (32 * 40)
-    tracemalloc.start()
-    try:
-        grad_x = tn.conv2d_backward(x, k, go)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert grad_x.shape == x.shape
-    assert peak < padded_grad_x + x.nbytes + padded_go, f"peaked at {peak} B"
 
 
 # ---------------------------------------------------------------------------
@@ -844,7 +833,7 @@ def kernel_calls(rng, dtype, n):
     copy (ringed or plain) of each shared input the kernel reads, so the
     in-place ReLUs leave the inputs as they were."""
     x = rng.normal(size=(n, 3, 6, 8)).astype(dtype)
-    k3, k1, k53 = (rng.normal(size=s).astype(dtype) for s in ((4, 3, 3, 3), (4, 3, 1, 1), (4, 3, 5, 3)))
+    k3, k1 = (rng.normal(size=s).astype(dtype) for s in ((4, 3, 3, 3), (4, 3, 1, 1)))
     b = rng.normal(size=4).astype(dtype)
     g = rng.normal(size=(n, 4, 6, 8)).astype(dtype)
     ku = rng.normal(size=(3, 4, 2, 2)).astype(dtype)
@@ -854,10 +843,8 @@ def kernel_calls(rng, dtype, n):
     return {
         "conv3x3": lambda p: [tn.conv2d_forward(p(x), k3, b)],
         "conv1x1": lambda p: [tn.conv2d_forward(p(x), k1, b)],
-        "conv5x3": lambda p: [tn.conv2d_forward(p(x), k53, b)],
         "conv3x3_backward": lambda p: list(tn.conv2d_backward(p(x), k3, p(g))),
         "conv1x1_backward": lambda p: list(tn.conv2d_backward(p(x), k1, p(g))),
-        "conv5x3_backward": lambda p: list(tn.conv2d_backward(p(x), k53, p(g))),
         "relu": lambda p: [tn.relu_forward(p(x))],
         "relu_backward": lambda p: [tn.relu_backward(p(x), p(x[:, ::-1]))],
         "maxpool": lambda p: [tn.maxpool2d_forward(p(x))],
@@ -869,29 +856,81 @@ def kernel_calls(rng, dtype, n):
     }
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("n", [1, 3])
-def test_every_kernel_gives_the_same_bits_on_a_ringed_view_and_a_plain_copy(dtype, n):
-    # a plain input is padded into the geometry a ringed one already has, so no
-    # sum changes its order
-    for name, call in kernel_calls(np.random.default_rng(30 + n), dtype, n).items():
-        on_ringed = call(ringed)
-        on_plain = call(np.copy)
-        assert len(on_ringed) == len(on_plain), name
-        for got, want in zip(on_ringed, on_plain):
-            assert got.shape == want.shape and got.dtype == want.dtype, name
-            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
+# the kernels that read only views of their inputs, never a buffer
+VIEW_READERS = ("maxpool", "maxpool_backward", "split")
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("prep", [ringed, np.copy], ids=["ringed", "plain"])
-def test_every_activation_a_kernel_returns_has_an_all_zero_ring(n, prep):
+def test_every_activation_a_kernel_returns_has_an_all_zero_ring(n):
     for name, call in kernel_calls(np.random.default_rng(40 + n), np.float32, n).items():
-        if prep is np.copy and name in ("relu", "relu_backward", "split"):
-            continue  # these return the array they are given, or views of it
-        out = call(prep)
+        out = call(ringed)
         for activation in out[:1] if name.endswith("_backward") else out:  # not grad_k, grad_bias
             assert_zero_ring(activation)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_plain_array_is_rejected_by_every_kernel_that_reads_its_buffer(dtype, n):
+    # and left as it was; the kernels that read views give the same bits on it
+    for name, call in kernel_calls(np.random.default_rng(30 + n), dtype, n).items():
+        made = []
+
+        def plain(a):
+            made.append((a.copy(), a.copy()))
+            return made[-1][0]
+
+        if name in VIEW_READERS:
+            for got, want in zip(call(plain), call(ringed), strict=True):
+                assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes(), name
+        else:
+            with pytest.raises(ValueError, match="not a ringed activation"):
+                call(plain)
+        assert all(np.array_equal(a, before) for a, before in made), name
+
+
+@pytest.mark.parametrize("cell", [(0, 0, 0, 3), (2, 1, -1, 5), (1, 1, 4, 0), (0, 0, 2, -1), (2, 1, 0, 0)])
+@pytest.mark.parametrize("value", [7.0, -7.0, np.nan])
+def test_a_look_alike_view_with_a_nonzero_ring_cell_is_rejected_and_left_as_it_was(cell, value):
+    # (channel, image, row, column) of the one ring cell that is not zero
+    rng = np.random.default_rng(50)
+    x0 = rng.normal(size=(2, 3, 6, 8))
+    buf = np.zeros((3, 2, 8, 10))
+    look = buf[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
+    look[...] = x0
+    buf[cell] = value
+    before = buf.tobytes()
+    k, b, g = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), ringed(rng.normal(size=(2, 4, 6, 8)))
+    ku, gu = rng.normal(size=(3, 4, 2, 2)), rng.normal(size=(2, 4, 12, 16))
+    for call in (
+        lambda: tn.conv2d_forward(look, k, b),
+        lambda: tn.conv2d_forward(look, k[:, :, 1:2, 1:2], b),
+        lambda: tn.conv2d_backward(look, k, g),
+        lambda: tn.conv2d_backward(ringed(g[:, :3]), k[:3, :3], look),
+        lambda: tn.upconv2d_forward(look, ku, b),
+        lambda: tn.upconv2d_backward(look, ku, gu),
+        lambda: tn.concat_channels(look, ringed(x0)),
+        lambda: tn.concat_channels(ringed(x0), look),
+        lambda: tn.relu_forward(look),
+        lambda: tn.relu_backward(ringed(x0), look),
+        lambda: tn._add_ringed(look, ringed(x0)),
+        lambda: tn._add_ringed(ringed(x0), look),
+    ):
+        with pytest.raises(ValueError, match="ring is not zero"):
+            call()
+        assert buf.tobytes() == before, cell
+
+
+@pytest.mark.parametrize("kh,kw", [(5, 3), (3, 5), (1, 5), (2, 2), (5, 5)])
+def test_a_conv_kernel_dim_other_than_1_or_3_is_rejected(kh, kw):
+    rng = np.random.default_rng(kh * 10 + kw)
+    x, g = ringed(rng.normal(size=(2, 3, 6, 8))), ringed(rng.normal(size=(2, 4, 6, 8)))
+    k, b = rng.normal(size=(4, 3, kh, kw)), rng.normal(size=4)
+    before = ring_buffer(x).tobytes(), ring_buffer(g).tobytes()
+    with pytest.raises(ValueError, match="not 1 or 3"):
+        tn.conv2d_forward(x, k, b)
+    with pytest.raises(ValueError, match="not 1 or 3"):
+        tn.conv2d_backward(x, k, g)
+    assert (ring_buffer(x).tobytes(), ring_buffer(g).tobytes()) == before
 
 
 def test_unet_activations_and_output_are_ringed():
@@ -903,39 +942,6 @@ def test_unet_activations_and_output_are_ringed():
         if isinstance(entry, np.ndarray):
             assert_zero_ring(entry)
     assert tn.unet_forward(params, x).tobytes() == out.tobytes()
-
-
-@pytest.mark.parametrize("cell", [(0, 0, 0, 3), (2, 1, -1, 5), (1, 1, 4, 0), (0, 0, 2, -1), (2, 1, 0, 0)])
-@pytest.mark.parametrize("value", [7.0, -7.0, np.nan])
-def test_a_look_alike_view_with_a_nonzero_ring_cell_is_padded_not_trusted(cell, value):
-    # (channel, image, row, column) of the one ring cell that is not zero
-    rng = np.random.default_rng(50)
-    x0 = rng.normal(size=(2, 3, 6, 8))
-    buf = np.zeros((3, 2, 8, 10))
-    look = buf[:, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
-    look[...] = x0
-    buf[cell] = value
-    before = buf.copy()
-    assert tn._ring(look) is None
-    k, b, g = rng.normal(size=(4, 3, 3, 3)), rng.normal(size=4), rng.normal(size=(2, 4, 6, 8))
-    ku, gu = rng.normal(size=(3, 4, 2, 2)), rng.normal(size=(2, 4, 12, 16))
-    for got, want in (
-        (tn.conv2d_forward(look, k, b), tn.conv2d_forward(x0, k, b)),
-        (tn.conv2d_forward(look, k[:, :, 1:2, 1:2], b), tn.conv2d_forward(x0, k[:, :, 1:2, 1:2], b)),
-        *zip(tn.conv2d_backward(look, k, g), tn.conv2d_backward(x0, k, g)),
-        *zip(tn.conv2d_backward(ringed(g[:, :3]), k[:3, :3], look), tn.conv2d_backward(g[:, :3], k[:3, :3], x0)),
-        (tn.upconv2d_forward(look, ku, b), tn.upconv2d_forward(x0, ku, b)),
-        *zip(tn.upconv2d_backward(look, ku, gu), tn.upconv2d_backward(x0, ku, gu)),
-        (tn.concat_channels(look, look), tn.concat_channels(x0, x0)),
-        (tn.relu_backward(look, ringed(x0)), tn.relu_backward(x0, x0.copy())),
-    ):
-        assert np.array_equal(got, want), cell
-    assert np.array_equal(buf, before, equal_nan=True)  # no kernel wrote the ring
-    tn.relu_forward(look)
-    tn.relu_backward(ringed(x0), look)
-    ring = buf.copy()
-    ring[:, :, 1:-1, 1:-1] = before[:, :, 1:-1, 1:-1]
-    assert np.array_equal(ring, before, equal_nan=True)  # the in-place ReLUs wrote only the interior
 
 
 def test_a_conv_on_a_ringed_input_makes_no_padded_copy(monkeypatch):

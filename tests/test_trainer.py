@@ -23,6 +23,7 @@ from gridcast.trainer import (
     train,
     write_epoch_log,
 )
+from gradcheck import ringed
 from test_tensor_nn import cache_bytes
 
 
@@ -60,7 +61,7 @@ def test_sgd_step_zero_grad_keeps_params():
 def test_sgd_step_rejects_non_finite():
     state = scalar_state(1.0)
     with pytest.raises(NumericalError, match="non-finite gradient"):
-        sgd_step(state, {"p": np.array([np.nan])}, lr=0.1)
+        sgd_step(state, {"p": np.array([np.nan])}, lr=0.1, momentum=0.9)
 
 
 def test_lr_schedule_boundaries():
@@ -363,7 +364,8 @@ def test_train_step_equals_a_reference_step_that_keeps_its_input(monkeypatch):
         y = trainer._stack_inputs([c.target for c in batch], cfg)
         out, cache = tn.unet_forward_cached(ref.params, x)
         ref_loss, grad_pred = tn.mse_loss(out[:, :, :h, :w], y)
-        grad_out = np.pad(grad_pred, [(0, 0), (0, 0), (0, 16 - h), (0, 12 - w)])
+        grad_out = ringed(np.zeros(out.shape, np.float32))
+        grad_out[:, :, :h, :w] = grad_pred
         sgd_step(ref, tn.unet_backward_cached(ref.params, cache, grad_out), 0.01, sgd.momentum)
         assert loss == ref_loss
     assert len(first_entries) == 2 and all(callable(e) for e in first_entries)  # a rebuild, not the input
