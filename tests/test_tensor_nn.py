@@ -285,6 +285,16 @@ def test_unet_shapes_toy():
     assert out.shape == (1, 2, 16, 16)
 
 
+def test_the_package_exports_what_its_forward_takes():
+    import gridcast as gc
+
+    x = gc.ringed_empty(1, 4, 8, 8)
+    x[...] = 1
+    assert gc.unet_forward(gc.init_params(toy_config(), seed=0), x).shape == (1, 2, 8, 8)
+    with pytest.raises(ValueError, match="not a ringed activation"):
+        gc.unet_forward(gc.init_params(toy_config(), seed=0), np.ones((1, 4, 8, 8), np.float32))
+
+
 def test_unet_full_scale_shape():
     cfg = tn.UNetConfig(depth=5, in_channels=36, out_channels=9, base_channels=4)
     params = tn.init_params(cfg, seed=0)
