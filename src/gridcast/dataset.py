@@ -11,7 +11,7 @@ single channel stack, e.g. (12, 3, h, w) -> (36, h, w).
 from __future__ import annotations
 
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,39 +200,20 @@ def _random(seed, shape) -> np.ndarray:
 
     The draws are split into contiguous parts of whole chunks, one per
     available core and at most one per chunk. Each part (``_random_draws``)
-    runs on its own thread, the first on the caller's, with its own
-    ``PCG64(seed)`` jumped ahead to the part's first draw (``advance``,
-    O(log n)). The byte words skip channel 2's bytes, which the heading
-    classes set, so every byte of the movie has one writer and no part waits
-    for another. The bytes do not depend on the part count. Every thread is
-    joined before this returns or raises, and a part's exception is raised
-    here.
+    runs on a pool thread with its own ``PCG64(seed)`` jumped ahead to the
+    part's first draw (``advance``, O(log n)). The byte words skip channel
+    2's bytes, which the heading classes set, so every byte has one writer
+    and no part waits for another. The bytes do not depend on the part
+    count. The pool joins every thread before this returns or raises, and
+    the lowest-numbered failing part's exception is raised here.
     """
     movie = np.empty(shape, dtype=np.uint8)
     draws = -(-_stream_words(shape) // 2)
     chunks = -(-draws // _CHUNK_DRAWS)
     parts = min(len(os.sched_getaffinity(0)), chunks)
     bounds = [chunks * k // parts * _CHUNK_DRAWS for k in range(parts)] + [draws]
-    errors = []
-
-    def part(first, stop):
-        try:
-            _random_draws(seed, movie, first, stop)
-        except Exception as e:  # raised in the caller once every part has ended
-            errors.append(e)
-
-    workers = []
-    try:
-        for first, stop in zip(bounds[1:], bounds[2:]):
-            worker = threading.Thread(target=part, args=(first, stop))
-            worker.start()
-            workers.append(worker)
-        _random_draws(seed, movie, bounds[0], bounds[1])  # the first part, on this thread
-    finally:
-        for worker in workers:
-            worker.join()
-    if errors:
-        raise errors[0]
+    with ThreadPoolExecutor(parts) as pool:
+        list(pool.map(lambda first, stop: _random_draws(seed, movie, first, stop), bounds, bounds[1:]))
     return movie
 
 

@@ -185,20 +185,18 @@ def _correlate(xp: np.ndarray, k: np.ndarray, bias: np.ndarray | None = None) ->
     return _interior(out)
 
 
-def _check_kernel_dims(k: np.ndarray) -> None:
+def _check_conv_kernel(x: np.ndarray, k: np.ndarray) -> None:
+    if x.shape[1] != k.shape[1]:
+        raise ValueError(f"input has {x.shape[1]} channels, kernel expects {k.shape[1]}")
     if not {k.shape[2], k.shape[3]} <= {1, 3}:
         raise ValueError(f"kernel dims {k.shape[2:]} are not 1 or 3: the ring pads one pixel")
 
 
 def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """Same-padded stride-1 cross-correlation: (n,ci,h,w) * (co,ci,kh,kw) -> (n,co,h,w)."""
-    ci = x.shape[1]
-    co, ci_k = k.shape[:2]
-    if ci != ci_k:
-        raise ValueError(f"input has {ci} channels, kernel expects {ci_k}")
-    if bias.shape != (co,):
-        raise ValueError(f"bias shape {bias.shape} != ({co},)")
-    _check_kernel_dims(k)
+    _check_conv_kernel(x, k)
+    if bias.shape != (k.shape[0],):
+        raise ValueError(f"bias shape {bias.shape} != ({k.shape[0]},)")
     return _correlate(_ring(x), k, bias)
 
 
@@ -207,9 +205,9 @@ def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input
     gradient w.r.t. x is None when ``input_grad`` is false."""
     n, ci, h, w = x.shape
     co, _, kh, kw = k.shape
+    _check_conv_kernel(x, k)
     if grad_out.shape != (n, co, h, w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, h, w)}")
-    _check_kernel_dims(k)
     xp, gp = _ring(x), _ring(grad_out)
     gpf = gp.reshape(co, -1)
     shift = (kh // 2) * gp.shape[3] + kw // 2  # gpf[:, p + shift]: grad_out at p, 0 in the ring
@@ -282,12 +280,16 @@ def maxpool2d_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad
 
 
+def _check_upconv_kernel(x: np.ndarray, k: np.ndarray) -> None:
+    if k.shape[0] != x.shape[1] or k.shape[2:] != (2, 2):
+        raise ValueError(f"kernel shape {k.shape} incompatible with input {x.shape}")
+
+
 def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
     """2x2 stride-2 transposed convolution: (n,ci,h,w) * (ci,co,2,2) -> (n,co,2h,2w)."""
     n, ci, h, w = x.shape
-    ci_k, co, kh, kw = k.shape
-    if ci != ci_k or (kh, kw) != (2, 2):
-        raise ValueError(f"kernel shape {k.shape} incompatible with input {x.shape}")
+    co = k.shape[1]
+    _check_upconv_kernel(x, k)
     if bias.shape != (co,):
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
     # one (4co, ci) GEMM over the ringed input gives every tap; row o*4 + dy*2 + dx
@@ -304,7 +306,8 @@ def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarr
 
 def upconv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
     n, ci, h, w = x.shape
-    _, co, _, _ = k.shape
+    co = k.shape[1]
+    _check_upconv_kernel(x, k)
     if grad_out.shape != (n, co, 2 * h, 2 * w):
         raise ValueError(f"grad_out shape {grad_out.shape} != {(n, co, 2 * h, 2 * w)}")
     # inverse pixel shuffle into x's ringed geometry: (n, co, 2h, 2w) -> (4co, n, h+2, w+2),

@@ -302,7 +302,27 @@ def test_synth_random_holds_little_beside_the_movie(monkeypatch):
     assert peak - movie.nbytes <= 16 * 2**20
 
 
-@pytest.mark.parametrize("failing", [0, 1, 2], ids=["callers_part", "second_part", "last_part"])
+@pytest.mark.parametrize("cores", [1, 2, 3, 7])
+def test_synth_random_runs_one_part_per_core_and_leaves_no_thread(monkeypatch, cores):
+    real = dataset._random_draws
+    parts = []
+
+    def spy(seed, movie, first, stop):
+        parts.append((first, stop))
+        real(seed, movie, first, stop)
+
+    monkeypatch.setattr(dataset, "_random_draws", spy)
+    monkeypatch.setattr(dataset, "_CHUNK_DRAWS", 4)
+    _cores(monkeypatch, cores)
+    threads = threading.active_count()
+    synth_movie("random", 1, (2, 3, 3, 2))  # 9 byte words and 12 heading words: 11 draws in 3 chunks
+    assert threading.active_count() == threads
+    parts.sort()
+    assert len(parts) == min(cores, 3)
+    assert [first for first, _ in parts] + [11] == [0] + [stop for _, stop in parts]  # they tile 0..10
+
+
+@pytest.mark.parametrize("failing", [0, 1, 2], ids=["first_part", "second_part", "last_part"])
 def test_a_failing_part_fails_synth_random_and_leaves_no_thread(monkeypatch, failing):
     real = dataset._random_draws
     firsts = [0, 4, 8]  # 3 parts of 4, 4 and 3 draws: 9 byte words, then 12 heading words

@@ -943,6 +943,28 @@ def test_a_conv_kernel_dim_other_than_1_or_3_is_rejected(kh, kw):
     assert (ring_buffer(x).tobytes(), ring_buffer(g).tobytes()) == before
 
 
+def test_conv_backward_rejects_a_kernel_for_other_input_channels():
+    # grad_out matches the kernel's output channels, so only the kernel is wrong
+    rng = np.random.default_rng(21)
+    x, g = ringed(rng.normal(size=(2, 3, 4, 5))), ringed(rng.normal(size=(2, 4, 4, 5)))
+    k = rng.normal(size=(4, 2, 3, 3))
+    with pytest.raises(ValueError, match="input has 3 channels, kernel expects 2"):
+        tn.conv2d_forward(x, k, np.zeros(4))
+    with pytest.raises(ValueError, match="input has 3 channels, kernel expects 2"):
+        tn.conv2d_backward(x, k, g)
+
+
+@pytest.mark.parametrize("k_shape", [(2, 4, 2, 2), (3, 4, 3, 3)], ids=["input_channels", "kernel_dims"])
+def test_upconv_backward_rejects_a_kernel_incompatible_with_its_input(k_shape):
+    rng = np.random.default_rng(22)
+    x, g = ringed(rng.normal(size=(2, 3, 4, 5))), ringed(rng.normal(size=(2, 4, 8, 10)))
+    k = rng.normal(size=k_shape)
+    with pytest.raises(ValueError, match="incompatible with input"):
+        tn.upconv2d_forward(x, k, np.zeros(4))
+    with pytest.raises(ValueError, match="incompatible with input"):
+        tn.upconv2d_backward(x, k, g)
+
+
 def test_unet_activations_and_output_are_ringed():
     params = tn.init_params(toy_config(), seed=0)
     x = ringed(np.random.default_rng(9).normal(size=(2, 4, 8, 8)).astype(np.float32))
