@@ -284,16 +284,23 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _movie_file(p: Path, leftover: bool) -> bool:
+    """Whether ``p`` is a .tmm file or, with ``leftover``, the .tmm.part file that
+    a killed clip write leaves behind."""
+    return p.is_file() and Path(p.name.removesuffix(".part") if leftover else p.name).suffix == ".tmm"
+
+
 @contextlib.contextmanager
 def _atomic_dir(path: Path):
     """Yield a fresh ``<path>.part`` directory and swap it in for ``path`` when the
     block ends: ``path`` is renamed to ``<path>.old``, ``<path>.part`` to ``path``,
     and the old one is removed. A failed block removes ``<path>.part`` and leaves
     ``path`` as it was. ValueError first if ``path`` or either sibling exists and
-    is not a directory of only .tmm files, so no other file is ever removed."""
+    is not a directory of only .tmm files (a sibling may also hold .tmm.part
+    files), so no other file is ever removed."""
     part, old = Path(f"{path}.part"), Path(f"{path}.old")
     for d in (path, part, old):
-        if d.exists() and not (d.is_dir() and all(p.suffix == ".tmm" and p.is_file() for p in d.iterdir())):
+        if d.exists() and not (d.is_dir() and all(_movie_file(p, d != path) for p in d.iterdir())):
             raise ValueError(f"{d} exists and is not a directory of .tmm files only: not replaced")
     for d in (part, old):  # left by a run that was killed
         shutil.rmtree(d, ignore_errors=True)
@@ -399,18 +406,17 @@ def cmd_evaluate(args) -> int:
             f"{sorted(names ^ truth_names)[:3]}"
         )
     order = sorted(names)
-    cities = []
-    for name in order:  # headers only
-        with movie_store.open_movie(pred_dir / name) as m:
-            cities.append(m.header.city)
+    cities = []  # recorded as each prediction is read: evaluate takes a clip's city after its frames
 
-    def frames(directory):  # one clip's frames at a time, read as evaluate asks for them
+    def frames(directory, record=None):  # one clip's frames at a time, read as evaluate asks for them
         for name in order:
             with movie_store.open_movie(directory / name) as m:
+                if record is not None:
+                    record.append(m.header.city)
                 clip = m.read_all()
             yield clip
 
-    metrics = trainer.evaluate(frames(pred_dir), frames(truth_dir), cities)
+    metrics = trainer.evaluate(frames(pred_dir, cities), frames(truth_dir), cities)
     with movie_store._atomic_write(args.report, "w") as f:
         json.dump(dataclasses.asdict(metrics), f, indent=2)
         f.write("\n")

@@ -8,14 +8,18 @@ Activations live in the *ringed* layout: an (n, c, h, w) activation is the
 interior view of a channel-major (c, n, h+2, w+2) buffer whose one-pixel ring
 is all zero, exactly the zero padding a 3x3 conv reads. A conv uses a ringed
 input's buffer as its padded operand and writes its output straight into a
-fresh ringed buffer, so no layer pads, crops or copies between kernels, and a
-concat is two contiguous channel blocks. The invariant: only the kernel that
-makes a ringed buffer writes its ring. A kernel trusts a buffer only after it
-has checked that the ring is zero (``_ring``); any other array, plain or a
-look-alike view, is rejected (ValueError). Pools, the channel split and an
-up-conv's output gradient read views, of any array. Every activation or
-gradient a kernel returns is ringed, and ``ringed_empty`` gives callers an
-input to fill. The ReLUs work in place on the array they are given. Conventions:
+fresh ringed buffer, or with ``out=`` into one channel block of a larger one,
+so no layer pads, crops or copies between kernels. A concat copies nothing
+either: its two inputs must be adjacent channel blocks of one buffer, which
+their kernels filled in place, and it returns the view of both. The invariant:
+only the kernel that fills a ringed buffer or block writes its ring. A kernel
+trusts a buffer only after it has checked that the ring is zero (``_ring``);
+any other array, plain or a look-alike view, is rejected (ValueError). The
+concat checks no ring: the conv that reads it checks the joined buffer. Pools,
+the channel split and an up-conv's output gradient read views, of any array.
+Every activation or gradient a kernel returns is ringed, and ``ringed_empty``
+gives callers an input to fill. The ReLUs work in place on the array they are
+given. Conventions:
 
   * convolutions are cross-correlations with zero same-padding, stride 1,
     kernel dims 1 or 3, computed per band of flat positions of the whole padded
@@ -41,12 +45,18 @@ carries ``base_channels * 2**i`` features. ``_layers`` is the single description
 of the network: the forward and backward passes, the parameter names and shapes,
 the init draw order and the checkpoint tensor order are all read from it.
 
+A level's skip lives in its concat from the start: the forward makes the
+concat's (2f, n, h+2, w+2) buffer with ``np.empty`` when the level's second conv
+runs, that conv writes the skip into the first f channels, and the level's
+up-conv later writes the second f. Each fills its block's ring itself, so the
+second block's pages are untouched until the up-conv.
+
 Only ``unet_forward_cached`` keeps a backward cache, holding each activation once:
 a ReLU caches its output, the very array the next conv, up-conv or pool caches as
 its input, and the backward pass pops each entry once its layer is done. A pool's
-input is also its level's skip, held only inside the concat that copies it: from
-the concat on, the pool's entry and its ReLU's are one view of the concat's first
-channels. ``cache_bytes`` gives the bytes such a cache holds, from shapes alone.
+input is its level's skip, so its entry and its ReLU's are a view of the concat's
+first channels, and the decoder conv that reads the concat caches the joined view.
+``cache_bytes`` gives the bytes such a cache holds, from shapes alone.
 A caller may replace an entry by a function that rebuilds it: the backward pass
 calls it when the entry's layer runs, so the array need not be held until then.
 """
@@ -158,17 +168,20 @@ def _row_bands(xp: np.ndarray, kh: int, kw: int, co: int):
         yield b0, b1, rows.reshape(ci * kh, q), tap_buf[: co * kw * q].reshape(co * kw, q)
 
 
-def _correlate(xp: np.ndarray, k: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+def _correlate(
+    xp: np.ndarray, k: np.ndarray, bias: np.ndarray | None = None, out: np.ndarray | None = None
+) -> np.ndarray:
     """Stride-1 cross-correlation, plus ``bias`` if given, of a ringed (ci, n, H, W)
-    buffer ``xp``, as the (n, co, h, w) interior of a fresh ringed buffer of the
-    same geometry, each output at its input's position: flat position
+    buffer ``xp``, as the (n, co, h, w) interior of a (co, n, H, W) buffer ``out``
+    (a fresh one if None), each output at its input's position: flat position
     p + (kh//2)*W + kw//2 for band position p. One GEMM per band puts the
     column taps in M, ``P[(o, dx), q] = sum over (c, dy) of k[o, c, dy, dx] * rows[(c, dy), q]``,
     and position b0+j sums ``P[(o, dx), j + dx]`` over dx, then adds the bias."""
     co, ci, kh, kw = k.shape
     _, n, H, W = xp.shape
     k2 = k.transpose(0, 3, 1, 2).reshape(co * kw, ci * kh)
-    out = np.empty((co, n, H, W), dtype=xp.dtype)
+    if out is None:
+        out = np.empty((co, n, H, W), dtype=xp.dtype)
     flat = out.reshape(co, -1)[:, (kh // 2) * W + kw // 2 :]
     for b0, b1, rows, taps in _row_bands(xp, kh, kw, co):
         acc = flat[:, b0:b1]
@@ -192,12 +205,25 @@ def _check_conv_kernel(x: np.ndarray, k: np.ndarray) -> None:
         raise ValueError(f"kernel dims {k.shape[2:]} are not 1 or 3: the ring pads one pixel")
 
 
-def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Same-padded stride-1 cross-correlation: (n,ci,h,w) * (co,ci,kh,kw) -> (n,co,h,w)."""
+def _out_buffer(out: np.ndarray, shape: tuple, dtype) -> np.ndarray:
+    """The buffer of ``out=``, an (n, c, h, w) channel block of a ringed buffer
+    that the calling kernel fills, ring included; ValueError if ``out`` has
+    another shape or dtype or is no such block."""
+    if out.shape != shape or out.dtype != dtype:
+        raise ValueError(f"out is {out.shape} {out.dtype}, not {shape} {np.dtype(dtype)}")
+    return _buffer(out)
+
+
+def conv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray, *, out: np.ndarray | None = None):
+    """Same-padded stride-1 cross-correlation: (n,ci,h,w) * (co,ci,kh,kw) -> (n,co,h,w),
+    written into ``out`` if given (see ``_out_buffer``) and returned."""
+    n, _, h, w = x.shape
     _check_conv_kernel(x, k)
     if bias.shape != (k.shape[0],):
         raise ValueError(f"bias shape {bias.shape} != ({k.shape[0]},)")
-    return _correlate(_ring(x), k, bias)
+    if out is not None:
+        out = _out_buffer(out, (n, k.shape[0], h, w), x.dtype)
+    return _correlate(_ring(x), k, bias, out)
 
 
 def conv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray, *, input_grad: bool = True):
@@ -285,19 +311,26 @@ def _check_upconv_kernel(x: np.ndarray, k: np.ndarray) -> None:
         raise ValueError(f"kernel shape {k.shape} incompatible with input {x.shape}")
 
 
-def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """2x2 stride-2 transposed convolution: (n,ci,h,w) * (ci,co,2,2) -> (n,co,2h,2w)."""
+def upconv2d_forward(x: np.ndarray, k: np.ndarray, bias: np.ndarray, *, out: np.ndarray | None = None):
+    """2x2 stride-2 transposed convolution: (n,ci,h,w) * (ci,co,2,2) -> (n,co,2h,2w)
+    in x's dtype, as a conv's, written into ``out`` if given (see ``_out_buffer``)
+    and returned."""
     n, ci, h, w = x.shape
     co = k.shape[1]
     _check_upconv_kernel(x, k)
     if bias.shape != (co,):
         raise ValueError(f"bias shape {bias.shape} != ({co},)")
+    xp = _ring(x)
+    shape = (n, co, 2 * h, 2 * w)
+    if out is None:
+        out = ringed_empty(*shape, x.dtype)
+    else:
+        _zero_ring(_out_buffer(out, shape, x.dtype))
     # one (4co, ci) GEMM over the ringed input gives every tap; row o*4 + dy*2 + dx
     # lands at (2y+dy, 2x+dx). The bias is added while the taps are contiguous.
-    taps = (k.reshape(ci, 4 * co).T @ _ring(x).reshape(ci, -1)).reshape(co, 4, -1)
+    taps = (k.reshape(ci, 4 * co).T @ xp.reshape(ci, -1)).reshape(co, 4, -1)
     taps += bias[:, None, None]
     taps = taps.reshape(co, 2, 2, n, h + 2, w + 2)
-    out = ringed_empty(n, co, 2 * h, 2 * w, taps.dtype)
     out6 = out.reshape(n, co, h, 2, w, 2)
     for dy, dx in _WINDOW:  # each tap copied straight to its output pixels
         out6[:, :, :, dy, :, dx] = taps[:, dy, dx, :, 1:-1, 1:-1].transpose(1, 0, 2, 3)
@@ -325,14 +358,17 @@ def upconv2d_backward(x: np.ndarray, k: np.ndarray, grad_out: np.ndarray):
 
 
 def concat_channels(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stack two (n,*,h,w) tensors along the channel axis: two channel blocks of one ringed buffer."""
-    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    n, fa, h, w = a.shape
-    buf = np.empty((fa + b.shape[1], n, h + 2, w + 2), dtype=np.result_type(a, b))
-    buf[:fa] = _ring(a)
-    buf[fa:] = _ring(b)
-    return _interior(buf)
+    """Stack two (n,*,h,w) activations along the channel axis without a copy: ``b``'s
+    channel block must directly follow ``a``'s in one ringed buffer, and the result
+    is the interior view of the two blocks; ValueError otherwise. The rings are
+    not scanned here: the next conv scans the joined buffer."""
+    if a.shape[0] != b.shape[0] or a.shape[2:] != b.shape[2:] or a.dtype != b.dtype:
+        raise ValueError(f"incompatible activations {a.shape} {a.dtype} and {b.shape} {b.dtype}")
+    ab, bb = _buffer(a), _buffer(b)
+    if a.base is not b.base or ab.ctypes.data + ab.nbytes != bb.ctypes.data:
+        raise ValueError("the second activation's block does not directly follow the first's in one buffer")
+    start = (ab.ctypes.data - a.base.ctypes.data) // a.itemsize
+    return _interior(a.base.reshape(-1)[start : start + ab.size + bb.size].reshape(-1, *ab.shape[1:]))
 
 
 def _add_ringed(a: np.ndarray, b: np.ndarray) -> None:
@@ -413,9 +449,10 @@ def _layers(cfg: UNetConfig):
     """The network as a flat list of (kind, name, weight_shape) in forward order.
 
     Kinds: ``conv`` (weight (co, ci, kh, kw)), ``up`` (weight (ci, co, 2, 2)),
-    ``relu``, ``pool`` (also push its input as the level's skip) and ``concat``
-    (pop the latest skip and put it in front of the current channels). Only conv
-    and up layers have a name and a weight shape; they come in UNP2 checkpoint order.
+    ``relu``, ``pool`` (its input is the level's skip, which the conv two layers
+    before it wrote) and ``concat`` (join the latest skip with the up-conv output
+    behind it). Only conv and up layers have a name and a weight shape; they come
+    in UNP2 checkpoint order.
     """
     layers = []
 
@@ -468,6 +505,14 @@ def init_params(cfg: UNetConfig, seed: int, dtype=np.float32) -> UNetParams:
     return UNetParams(cfg, tensors)
 
 
+def _concat_blocks(n: int, f: int, h: int, w: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, f, h, w) interiors of the two channel blocks of a fresh (2f, n, h+2,
+    w+2) buffer, rings and all uninitialized: the kernel that fills a block
+    (``out=``) writes its ring."""
+    joined = np.empty((2 * f, n, h + 2, w + 2), dtype)
+    return _interior(joined[:f]), _interior(joined[f:])
+
+
 def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarray:
     """Run ``_layers`` forward, appending each layer's entry to ``cache`` unless it is None."""
     cfg = params.config
@@ -478,27 +523,26 @@ def _forward(params: UNetParams, x: np.ndarray, cache: list | None) -> np.ndarra
     if h % m or w % m:
         raise ValueError(f"spatial dims {h}x{w} not divisible by {m}")
     t = params.tensors
-    skips = []  # (activation, index of the pool that pushed it)
-    for i, (kind, name, _) in enumerate(_layers(cfg)):
+    layers = _layers(cfg)
+    skip_convs = {i - 2 for i, (kind, _, _) in enumerate(layers) if kind == "pool"}  # conv, relu, pool
+    blocks = []  # the (skip, up-conv) channel blocks of each pending concat's buffer
+    for i, (kind, name, _) in enumerate(layers):
         entry = x
         if kind == "conv":
-            x = conv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"])
+            out = None
+            if i in skip_convs:  # the level's skip, written into its concat's first block
+                blocks.append(_concat_blocks(n, t[f"{name}.w"].shape[0], *x.shape[2:], x.dtype))
+                out = blocks[-1][0]
+            x = conv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"], out=out)
         elif kind == "up":
-            x = upconv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"])
+            x = upconv2d_forward(x, t[f"{name}.w"], t[f"{name}.b"], out=blocks[-1][1])
         elif kind == "relu":
             x = entry = relu_forward(x)
         elif kind == "pool":
-            skips.append((x, i))
             x = maxpool2d_forward(x)
         else:  # concat
-            skip, at = skips.pop()
-            entry = skip.shape[1]
-            x = concat_channels(skip, x)
-            del skip
-            if cache is not None:
-                # the pool's entry and its ReLU's (one object) become a view of the skip's
-                # copy in the concat, so the skip's own array is freed and held only there
-                cache[at - 1] = cache[at] = x[:, :entry]
+            entry = blocks[-1][0].shape[1]
+            x = concat_channels(blocks.pop()[0], x)
         if cache is not None:
             cache.append(entry)
     return x
@@ -509,8 +553,9 @@ def unet_forward_cached(params: UNetParams, x: np.ndarray):
     one cache entry per layer of ``_layers``:
     the input of conv/up/pool, the output of relu (the array the next layer caches,
     so it is held once) and the skip's channel count for concat. A pool's entry and
-    its ReLU's are one view of the skip's channels in the concat, which the next
-    conv caches as its input, so the skip's bytes are held once too."""
+    its ReLU's are one view of the skip's channels in the concat's buffer, whose
+    joined view the next conv caches as its input, so the skip's bytes are held
+    once too."""
     cache = []
     return _forward(params, x, cache), cache
 

@@ -317,7 +317,8 @@ def evaluate(
     """Per-element MSE of uint8 frames with per-frame/channel/city splits.
 
     The inputs may be any iterables; they are read one prediction/truth pair
-    at a time, so generators need hold only one pair. Squared errors are summed
+    at a time, so generators need hold only one pair; a clip's city is taken
+    after its prediction and truth are read. Squared errors are summed
     in exact integers (int64), so every mean is one correctly rounded division
     and does not depend on the order of the clips. ValueError on no clips,
     unequal counts or shapes, fewer cities than clips, or non-uint8 frames.

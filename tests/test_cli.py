@@ -710,6 +710,48 @@ def test_a_per_clip_command_replaces_no_out_but_a_dir_of_tmm_files(pipeline_dirs
     assert {d: _files(d) for d in before} == before
 
 
+@pytest.mark.parametrize("sibling", ["part", "old"])
+def test_a_killed_clip_write_leaves_nothing_that_blocks_a_rerun(pipeline_dirs, tmp_path, sibling):
+    # ingest writes each clip through <clip>.tmm.part, so a kill mid-write leaves one in <out>.part
+    data, slots = pipeline_dirs
+    out = tmp_path / "truth"
+    left = Path(f"{out}.{sibling}")
+    left.mkdir()
+    (left / "q__2019-05-01__t0008.tmm").write_bytes(b"done")
+    (left / "q__2019-05-01__t0009.tmm.part").write_bytes(b"half")
+    assert run("targets", "--data", data, "--slots", slots, "--out", out) == 0
+    assert len(_files(out)) == 6
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "slots.txt", "truth"]
+
+
+@pytest.mark.parametrize("where, name", [("part", "notes.txt"), ("old", "clip.npy.part"), ("part", "a.part"),
+                                         ("out", "q__2019-05-01__t0009.tmm.part")])
+def test_a_per_clip_command_removes_no_other_leftover(pipeline_dirs, tmp_path, capsys, where, name):
+    data, slots = pipeline_dirs
+    out = tmp_path / "truth"
+    d = out if where == "out" else Path(f"{out}.{where}")
+    d.mkdir()
+    (d / "q__2019-05-01__t0008.tmm.part").write_bytes(b"half")
+    (d / name).write_bytes(b"keep me")
+    before = _files(d)
+    assert run("targets", "--data", data, "--slots", slots, "--out", out) == 2
+    assert f"{d} exists and is not a directory of .tmm files only" in capsys.readouterr().err
+    assert _files(d) == before
+
+
+def test_evaluate_opens_each_file_once(pipeline_dirs, tmp_path, monkeypatch):
+    data, slots = pipeline_dirs
+    dirs = [tmp_path / "pred", tmp_path / "truth"]
+    for d in dirs:
+        assert run("targets", "--data", data, "--slots", slots, "--out", d) == 0
+    opened, open_movie = [], movie_store.open_movie
+    monkeypatch.setattr(movie_store, "open_movie", lambda path: opened.append(path) or open_movie(path))
+    report = tmp_path / "r.json"
+    assert run("evaluate", "--pred", dirs[0], "--truth", dirs[1], "--report", report) == 0
+    assert sorted(opened) == sorted(p for d in dirs for p in d.glob("*.tmm"))
+    assert json.loads(report.read_text())["per_city"] == {"q": 0.0}
+
+
 @pytest.mark.parametrize("side", ["pred", "truth"])
 def test_evaluate_rejects_partial_file_sets(pipeline_dirs, tmp_path, capsys, side):
     data, slots = pipeline_dirs

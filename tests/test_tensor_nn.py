@@ -228,18 +228,13 @@ def test_upconv_backward_finite_difference(seed):
 # concat / mse / rounding
 
 def test_concat_and_split_shapes():
-    a = ringed(np.zeros((2, 4, 3, 3)))
-    b = ringed(np.ones((2, 6, 3, 3)))
+    joined = ringed(np.concatenate([np.zeros((2, 4, 3, 3)), np.ones((2, 6, 3, 3))], axis=1))
+    a, b = joined[:, :4], joined[:, 4:]  # adjacent channel blocks of one ringed buffer
     cat = tn.concat_channels(a, b)
     assert cat.shape == (2, 10, 3, 3)
     ga, gb = tn.split_channels(cat, 4)
     assert ga.shape == a.shape and gb.shape == b.shape
     assert np.array_equal(ga, a) and np.array_equal(gb, b)
-
-
-def test_concat_rejects_mismatch():
-    with pytest.raises(ValueError):
-        tn.concat_channels(ringed(np.zeros((1, 2, 3, 3))), ringed(np.zeros((1, 2, 4, 4))))
 
 
 def test_mse_loss_values():
@@ -861,7 +856,7 @@ def kernel_calls(rng, dtype, n):
         "maxpool_backward": lambda p: [tn.maxpool2d_backward(p(x), p(gp))],
         "upconv": lambda p: [tn.upconv2d_forward(p(x), ku, b)],
         "upconv_backward": lambda p: list(tn.upconv2d_backward(p(x), ku, p(gu))),
-        "concat": lambda p: [tn.concat_channels(p(x), p(y))],
+        "concat": lambda p: [tn.concat_channels(*tn.split_channels(p(np.concatenate([x, y], axis=1)), 3))],
         "split": lambda p: list(tn.split_channels(p(np.concatenate([x, y], axis=1)), 3)),
     }
 
@@ -918,8 +913,7 @@ def test_a_look_alike_view_with_a_nonzero_ring_cell_is_rejected_and_left_as_it_w
         lambda: tn.conv2d_backward(ringed(g[:, :3]), k[:3, :3], look),
         lambda: tn.upconv2d_forward(look, ku, b),
         lambda: tn.upconv2d_backward(look, ku, gu),
-        lambda: tn.concat_channels(look, ringed(x0)),
-        lambda: tn.concat_channels(ringed(x0), look),
+        lambda: tn.conv2d_forward(tn.concat_channels(look[:, :1], look[:, 1:]), k, b),  # the conv scans
         lambda: tn.relu_forward(look),
         lambda: tn.relu_backward(ringed(x0), look),
         lambda: tn._add_ringed(look, ringed(x0)),
@@ -996,3 +990,124 @@ def test_a_conv_on_a_ringed_input_makes_no_padded_copy(monkeypatch):
         tracemalloc.stop()
     assert forward < buffer // 4, f"forward peaked at {forward} B"
     assert backward < buffer * 5 // 4, f"backward peaked at {backward} B"
+
+
+# ---------------------------------------------------------------------------
+# a concat is two adjacent channel blocks that their kernels fill in place
+
+def channel_blocks(buf, *channels):
+    """Interior views of consecutive channel blocks of a (c, n, h+2, w+2) buffer."""
+    edges = np.cumsum((0,) + channels)
+    return [buf[a:b, :, 1:-1, 1:-1].transpose(1, 0, 2, 3) for a, b in zip(edges, edges[1:])]
+
+
+def test_concat_joins_adjacent_blocks_as_a_view_and_allocates_nothing():
+    rng = np.random.default_rng(60)
+    buf = np.zeros((6, 2, 34, 34))
+    a, b = channel_blocks(buf, 2, 4)
+    a[...] = rng.normal(size=a.shape)
+    b[...] = rng.normal(size=b.shape)
+    tracemalloc.start()
+    try:
+        cat = tn.concat_channels(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096, f"the concat allocated {peak} B"  # a copy would be buf.nbytes, 110,976 B
+    assert np.shares_memory(cat, a) and np.shares_memory(cat, b)
+    assert ring_buffer(cat).__array_interface__ == buf.__array_interface__
+    assert np.array_equal(cat[:, :2], a) and np.array_equal(cat[:, 2:], b)
+
+
+def _concat_operands(case):
+    buf = np.zeros((7, 2, 6, 8))
+    a, b, c = channel_blocks(buf, 2, 3, 2)
+    other = {"n": (1, 3, 4, 6), "h": (2, 3, 2, 6), "w": (2, 3, 4, 4), "separate": (2, 3, 4, 6)}
+    if case in other:
+        return a, ringed(np.zeros(other[case]))
+    if case == "dtype":
+        return a, ringed(np.zeros((2, 3, 4, 6), np.float32))
+    return {"reversed": (b, a), "gap": (a, c)}[case]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [(case, "does not directly follow") for case in ("separate", "reversed", "gap")]
+    + [(case, "incompatible activations") for case in ("n", "h", "w", "dtype")],
+)
+def test_concat_rejects_all_but_adjacent_blocks_of_one_buffer(case, message):
+    a, b = _concat_operands(case)
+    with pytest.raises(ValueError, match=message):
+        tn.concat_channels(a, b)
+
+
+def out_kernels(rng, dtype, n):
+    """(kernel, x, k, b) for each kernel that takes ``out=``; each gives (n, 4, 6, 8)."""
+    x, xu = (ringed(rng.normal(size=(n, 3, h, w)).astype(dtype)) for h, w in ((6, 8), (3, 4)))
+    k3, k1, ku = (rng.normal(size=s).astype(dtype) for s in ((4, 3, 3, 3), (4, 3, 1, 1), (3, 4, 2, 2)))
+    b = rng.normal(size=4).astype(dtype)
+    return {
+        "conv3x3": (tn.conv2d_forward, x, k3, b),
+        "conv1x1": (tn.conv2d_forward, x, k1, b),
+        "upconv": (tn.upconv2d_forward, xu, ku, b),
+    }
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("block", [0, 1])
+@pytest.mark.parametrize("kernel", ["conv3x3", "conv1x1", "upconv"])
+def test_out_fills_its_block_as_a_fresh_call_does_and_nothing_else(kernel, block, dtype):
+    call, x, k, b = out_kernels(np.random.default_rng(61), dtype, 2)[kernel]
+    fresh = call(x, k, b)
+    buf = np.full((8, 2, 8, 10), np.nan, dtype)  # the ring too: out= zeroes its block's own
+    blocks = channel_blocks(buf, 4, 4)
+    neighbour = ring_buffer(blocks[1 - block]).tobytes()
+    got = call(x, k, b, out=blocks[block])
+    assert got.__array_interface__ == blocks[block].__array_interface__
+    assert ring_buffer(blocks[block]).tobytes() == ring_buffer(fresh).tobytes()
+    assert ring_buffer(blocks[1 - block]).tobytes() == neighbour
+    assert_zero_ring(blocks[block])
+
+
+@pytest.mark.parametrize("fault", ["shape", "dtype", "plain"])
+@pytest.mark.parametrize("kernel", ["conv3x3", "conv1x1", "upconv"])
+def test_out_rejects_a_wrong_shape_or_dtype_and_a_plain_array(kernel, fault):
+    call, x, k, b = out_kernels(np.random.default_rng(62), np.float32, 2)[kernel]
+    buf = np.full((8, 2, 8, 10), 7.0, np.float64 if fault == "dtype" else np.float32)
+    out = {"shape": channel_blocks(buf, 3, 5)[0], "dtype": channel_blocks(buf, 4, 4)[0],
+           "plain": np.full((2, 4, 6, 8), 7.0, np.float32)}[fault]
+    before = (buf.tobytes(), out.tobytes())
+    with pytest.raises(ValueError, match="not a ringed activation" if fault == "plain" else "out is"):
+        call(x, k, b, out=out)
+    assert (buf.tobytes(), out.tobytes()) == before
+
+
+def test_the_forward_holds_no_concat_copy_beside_its_blocks(monkeypatch):
+    # Small bands, so that the activations set the peak. A depth-2 forward then
+    # peaks at its up-conv: the concat's 2f-channel buffer at level 0, the
+    # up-conv's four taps (about f channels at level 0's size) and its level-1
+    # input (2f channels at a quarter of the pixels): 3.6 f. A concat that
+    # copies its inputs holds 4 f: the skip, the up-conv output and their copy.
+    monkeypatch.setattr(tn, "_BAND_ELEMENTS", 2**10)
+    cfg = tn.UNetConfig(depth=2, in_channels=4, out_channels=2, base_channels=8)
+    params = tn.init_params(cfg, seed=0, dtype=np.float64)
+    x = ringed(np.random.default_rng(63).normal(size=(2, 4, 64, 64)))
+    f_bytes = 2 * 8 * 66 * 66 * 8  # f channels of level 0's ringed buffers
+    tracemalloc.start()
+    try:
+        tn.unet_forward(params, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.75 * f_bytes, f"the forward peaked at {peak / f_bytes:.2f} f"
+
+
+def test_the_forward_keeps_its_input_dtype_under_float64_params():
+    # an up-conv returns its input's dtype, as a conv does, so it fits the concat block made for it
+    cfg = tn.UNetConfig(depth=3, in_channels=4, out_channels=2, base_channels=3)
+    params = tn.init_params(cfg, seed=0, dtype=np.float64)
+    x = ringed(np.random.default_rng(64).normal(size=(2, 4, 16, 16)).astype(np.float32))
+    out, cache = tn.unet_forward_cached(params, x)
+    assert out.dtype == np.float32
+    assert all(a.dtype == np.float32 for a in cache if isinstance(a, np.ndarray))
+    assert tn.unet_forward(params, x).tobytes() == out.tobytes()
