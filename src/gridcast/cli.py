@@ -117,8 +117,10 @@ def cmd_synth(args) -> int:
     if args.value is not None and args.kind != "constant":
         raise ValueError(f"--value sets the cells of kind constant, not of {args.kind}")
     out = Path(args.out)
+    single = out.suffix == ".tmm"
+    if single and args.days > 1:
+        raise ValueError(f"--out {out} names one .tmm file, but --days {args.days} writes {args.days} days")
     start = _date.fromisoformat(args.start_date)
-    single = args.days == 1 and out.suffix == ".tmm"
     # a movie is a function of kind, seed, shape and value: every day is this one
     movie = dataset.synth_movie(args.kind, args.seed, shape, value=args.value or 0)
     if not single:  # made once the movie exists, so a rejected one leaves nothing
@@ -144,6 +146,8 @@ class DataConfig:
     train_on_test_slots_only: bool = False
 
     def __post_init__(self):
+        if self.stride < 1:
+            raise ValueError(f"config data.stride must be >= 1, got {self.stride}")
         if (self.train_dates is None) != (self.val_dates is None):
             raise ValueError("config must set both train_dates and val_dates or neither")
         both = sorted(set(self.train_dates or ()) & set(self.val_dates or ()))

@@ -158,7 +158,10 @@ def synth_movie(kind: str, seed: int, shape: tuple[int, int, int, int], value: i
       time_ramp     frame i is constant i mod 256
       slot_pattern  cell value is a pure function of (slot, channel, y, x), so
                     averaging a slot over any number of generated days
-                    reproduces the frames exactly
+                    reproduces the frames exactly; a continuous channel's
+                    slot s repeats slot s - period by construction, so
+                    ``sin`` runs once per frame of one period
+                    (``_slot_pattern``)
       random        uniform uint8 noise from PCG64's raw stream (``_random``)
 
     Each movie is a function of kind, seed, shape and value only. The heading
@@ -263,14 +266,18 @@ def _random_draws(seed, movie, first, stop):
 def _slot_pattern(t, c, h, w, seed) -> np.ndarray:
     """Smooth per-slot pattern: short-period sinusoids in the slot index with
     a spatial phase field for the continuous channels, static class bands for
-    heading. Every value is a pure function of (slot, channel, y, x). The
-    float64 temporaries are one frame's, not the day's."""
+    heading. Every value is a pure function of (slot, channel, y, x).
+
+    A continuous channel's period is a whole number of slots, so slot s
+    repeats slot s - period by construction: ``sin`` runs once per frame of
+    the first period only, and every later frame is a copy. The float64
+    temporaries are one frame's, not the day's."""
     rng = np.random.default_rng(seed)
     yy, xx = np.mgrid[0:h, 0:w]
     spatial = (yy / h + xx / w) / 2.0  # in [0, 1)
 
     movie = np.empty((t, c, h, w), dtype=np.uint8)
-    periods = (7.0, 5.0, 11.0, 4.0)
+    periods = (7, 5, 11, 4)
     for ch in range(c):
         if ch == HEADING_CHANNEL:
             idx = (np.floor(4 * spatial) + rng.integers(0, 4)) % 4
@@ -279,8 +286,10 @@ def _slot_pattern(t, c, h, w, seed) -> np.ndarray:
         period = periods[ch % len(periods)]
         amp = rng.uniform(70.0, 100.0)
         phase = rng.uniform(1.0, 2.0) * spatial
-        for s in range(t):
+        for s in range(min(period, t)):
             angle = 2 * np.pi * (np.float64(s) / period + phase)
             vals = np.floor(128.0 + amp * np.sin(angle) + 0.5)
             movie[s, ch] = np.clip(vals, 0, 255).astype(np.uint8)
+        for s in range(period, t):
+            movie[s, ch] = movie[s - period, ch]
     return movie

@@ -442,6 +442,19 @@ def test_train_rejects_config_values_of_the_wrong_kind(
     assert not ckpt.exists()
 
 
+@pytest.mark.parametrize("stride", [0, -3])
+def test_train_rejects_a_stride_below_one_before_it_opens_data(tmp_path, capsys, stride):
+    path = train_config(tmp_path)
+    cfg = json.loads(path.read_text())
+    cfg["data"]["stride"] = stride
+    path.write_text(json.dumps(cfg))
+    ckpt = tmp_path / "x.unp"
+    assert run("train", "--config", path, "--data", tmp_path / "missing", "--out", ckpt) == 2
+    err = capsys.readouterr().err
+    assert f"config data.stride must be >= 1, got {stride}" in err and "no matching" not in err
+    assert not ckpt.exists()
+
+
 def test_a_config_of_every_key_at_its_default_parses_to_the_default_configs(tmp_path):
     cfg = {
         "unet": {"depth": 5, "base_channels": 64, "normalize": False},
@@ -565,9 +578,21 @@ def test_train_on_one_day_with_the_default_split_exits_2(tmp_path, capsys, monke
     ids=["value_300", "value_negative", "no_days", "two_days"],
 )
 def test_synth_rejects_what_it_cannot_store(tmp_path, capsys, argv, message):
-    for out in (tmp_path / "days", tmp_path / "one.tmm"):
+    # a .tmm --out with several days fails on that first (test_synth_rejects_several_days_into_one_tmm_file)
+    names = ("days",) if argv[:2] == ("--days", 2) else ("days", "one.tmm")
+    for out in (tmp_path / name for name in names):
         assert run("synth", "--kind", "constant", "--shape", "4,1,2,2", *argv, "--out", out) == 2
         assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [(), ("--value", 256)], ids=["value_ok", "value_bad"])
+def test_synth_rejects_several_days_into_one_tmm_file(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr(dataset, "synth_movie", lambda *a, **k: pytest.fail("a movie was generated"))
+    out = tmp_path / "day.tmm"
+    assert run("synth", "--kind", "constant", "--shape", "4,1,2,2", "--days", 2, *value, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"--out {out} names one .tmm file, but --days 2 writes 2 days" in err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -364,7 +364,9 @@ def _slot_pattern_broadcast(t, c, h, w, seed):
     return movie
 
 
-@pytest.mark.parametrize("shape", [(288, 3, 8, 8), (30, 1, 5, 7), (13, 2, 9, 4), (50, 4, 11, 13), (1, 3, 1, 1)])
+@pytest.mark.parametrize(
+    "shape", [(288, 3, 8, 8), (288, 4, 8, 8), (30, 1, 5, 7), (13, 2, 9, 4), (50, 4, 11, 13), (1, 3, 1, 1)]
+)
 @pytest.mark.parametrize("seed", [0, 11, 12345])
 def test_synth_slot_pattern_matches_its_whole_day_formulation(shape, seed):
     assert np.array_equal(synth_movie("slot_pattern", seed, shape), _slot_pattern_broadcast(*shape, seed))
@@ -380,6 +382,16 @@ def test_synth_slot_pattern_holds_one_frame_of_temporaries():
     finally:
         tracemalloc.stop()
     assert peak - movie.nbytes <= 12 * h * w * 8  # a dozen float64 frames; the day's are 288 each
+
+
+def test_synth_slot_pattern_computes_one_period_of_frames_per_channel(monkeypatch):
+    calls = []
+    real = np.sin
+    monkeypatch.setattr(np, "sin", lambda x: calls.append(x.shape) or real(x))
+    synth_movie("slot_pattern", 3, (288, 4, 8, 8))
+    # one frame per slot of channels 0, 1 and 3's first period; channel 2 is
+    # heading, and the whole day's frames would be 3 * 288
+    assert len(calls) <= 7 + 5 + 4
 
 
 def test_synth_rejects_unknown_kind():
