@@ -4,10 +4,7 @@ from .movie_store import MovieFormatError, MovieHeader, MovieReader, ingest, ope
 from .dataset import (
     Clip,
     ClipSpec,
-    CollapsedSample,
-    collapse_time,
     enumerate_clips,
-    expand_time,
     index_movies,
     load_clip,
     synth_movie,
@@ -19,8 +16,8 @@ from .baselines import (
     time_slot_average,
     zero_baseline,
 )
-from .masks import Mask, apply_mask, build_mask
+from .masks import Mask, build_mask
 from .tensor_nn import UNetConfig, UNetParams, init_params, load_params, ringed_empty, save_params, unet_forward
-from .trainer import Metrics, SGDConfig, TrainState, evaluate, lr_schedule, predict, sgd_step, train
+from .trainer import Metrics, SGDConfig, evaluate, lr_schedule, predict, sgd_step, train
 
 __version__ = "0.1.0"

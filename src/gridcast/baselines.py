@@ -9,23 +9,17 @@ integers, when the model is built: ``(2 * sum + n) // (2 * n)``, which is
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .dataset import Clip, ClipSpec, INPUT_FRAMES, TARGET_FRAMES
-from .movie_store import MovieReader, check_grid, ingest, open_movie
+from .movie_store import MovieReader, check_grid, ingest  # ingest: bench/hooks.py wraps baselines.ingest
 
 
 @dataclass
 class SlotAverageModel:
     frames: dict[int, np.ndarray]  # slot -> (c, h, w) uint8 mean, rounded half-up
-
-    @property
-    def slots(self) -> list[int]:
-        return sorted(self.frames)
 
 
 def time_slot_average(train_movies: list[MovieReader], slots) -> SlotAverageModel:
@@ -71,26 +65,3 @@ def persistence(clip: Clip) -> np.ndarray:
 
 def zero_baseline(clip: Clip) -> np.ndarray:
     return np.zeros_like(clip.target)
-
-
-def save_model(model: SlotAverageModel, path: str | Path) -> Path:
-    """Persist as one TMM1 movie: the rounded mean of each slot in slot order,
-    date "MODEL" and city ``slot-average-s<s0>,<s1>,...`` naming the slots."""
-    slots = model.slots
-    frames = np.stack([model.frames[s] for s in slots])
-    return ingest(frames, "slot-average-s" + ",".join(map(str, slots)), "MODEL", path)
-
-
-def load_model(path: str | Path) -> SlotAverageModel:
-    """Read a model written by ``save_model``; ValueError unless the date is
-    "MODEL" and the city names one strictly increasing slot per frame."""
-    with open_movie(path) as m:
-        hdr = m.header
-        meta = re.fullmatch(r"slot-average-s([0-9]+(?:,[0-9]+)*)", hdr.city)
-        slots = [int(s) for s in meta[1].split(",")] if meta else []
-        if hdr.date != "MODEL" or len(slots) != hdr.t or slots != sorted(set(slots)):
-            raise ValueError(
-                f"{path}: date {hdr.date!r}, city {hdr.city!r}: not a model of {hdr.t} increasing slots"
-            )
-        frames = m.read_all()
-    return SlotAverageModel(dict(zip(slots, frames)))

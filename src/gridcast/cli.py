@@ -67,8 +67,21 @@ def _clip_name(spec: dataset.ClipSpec) -> str:
     return f"{spec.city}__{spec.day}__t{spec.t_start:04d}.tmm"
 
 
+def _check_out(out: str, *siblings: str) -> None:
+    """ValueError naming ``--out`` when it could not be written once the work is
+    done: its parent is not a directory, or it or one of ``siblings`` is one."""
+    for p in (out, *siblings):
+        if Path(p).is_dir():
+            raise ValueError(f"--out {out}: {p} is a directory")
+    if not Path(out).parent.is_dir():
+        raise ValueError(f"--out {out}: {Path(out).parent} is not a directory")
+
+
 def cmd_ingest(args) -> int:
-    raw = np.load(args.input)
+    with open(args.input, "rb") as f:  # one .npy array, no pickles, and nothing after it
+        raw = np.lib.format.read_array(f, allow_pickle=False)
+        if f.read(1):
+            raise ValueError(f"{args.input}: bytes follow the .npy array")
     path = movie_store.ingest(raw, args.city, args.date, args.out)
     with movie_store.open_movie(path) as m:
         h = m.header
@@ -99,8 +112,6 @@ def cmd_inspect(args) -> int:
                 f"mask: threshold={mask.threshold} source_span={mask.source_span} "
                 f"active={np.count_nonzero(mask.active)} of {mask.active.size} pixels"
             )
-        elif h.date == "MODEL":
-            print(f"slot-average model: slots={','.join(map(str, baselines.load_model(args.file).slots))}")
         if args.dump:
             with movie_store._atomic_write(args.dump) as f:
                 np.save(f, m.read_all())
@@ -225,6 +236,8 @@ def _split_dates(dates: list[str], data_cfg: DataConfig) -> tuple[list[str], lis
 
 def cmd_train(args) -> int:
     unet_cfg, sgd_cfg, data_cfg = _read_config(args.config)
+    log_path = f"{args.out}.csv"
+    _check_out(args.out, log_path)  # before the epochs, not after them
 
     with contextlib.ExitStack() as stack:
         movies = _open_movies(stack, Path(args.data), data_cfg.city)
@@ -279,7 +292,6 @@ def cmd_train(args) -> int:
         val_clips = [dataset.load_clip(s, by_key) for s in val_specs]
     result = trainer.train(unet_cfg, sgd_cfg, train_clips, val_clips, test_slots)
     tensor_nn.save_params(result.best_params, args.out)
-    log_path = f"{args.out}.csv"
     trainer.write_epoch_log(log_path, result.log)
     print(
         f"trained {sgd_cfg.epochs} epochs on {len(train_clips)} clips; "
@@ -361,8 +373,8 @@ def cmd_predict(args) -> int:
 
 
 def cmd_baseline(args) -> int:
-    if args.kind != "slot_avg" and (args.train, args.model_out) != (None, None):
-        raise ValueError(f"--train and --model-out are for --kind slot_avg; --kind {args.kind} has no model")
+    if args.kind != "slot_avg" and args.train is not None:
+        raise ValueError(f"--train is for --kind slot_avg; --kind {args.kind} has no model")
 
     def make_frames(stack, movies, specs):
         if args.kind == "persistence":
@@ -380,8 +392,6 @@ def cmd_baseline(args) -> int:
         if len(cities) > 1:
             raise ValueError(f"the slot average is strictly per city; --train and --data hold {cities}")
         model = baselines.time_slot_average(train_movies, needed)
-        if args.model_out:
-            baselines.save_model(model, args.model_out)
         return lambda spec, clip: baselines.predict_slot_average(model, spec)
 
     return _write_per_clip(args, f"{args.kind} baseline", make_frames)
@@ -398,6 +408,8 @@ def cmd_targets(args) -> int:
 
 def cmd_evaluate(args) -> int:
     pred_dir, truth_dir = Path(args.pred), Path(args.truth)
+    if pred_dir.resolve() == truth_dir.resolve():  # which would score a perfect 0
+        raise ValueError(f"--pred {pred_dir} and --truth {truth_dir} are the same directory")
     names = {p.name for p in pred_dir.glob("*.tmm")}
     if not names:
         raise ValueError(f"no prediction files in {pred_dir}")
@@ -429,6 +441,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mask(args) -> int:
+    _check_out(args.out)
     with contextlib.ExitStack() as stack:
         mask = masks.build_mask(_open_movies(stack, Path(args.data)), args.threshold)
     masks.save_mask(mask, args.out)
@@ -449,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser(
         "inspect",
-        help="print a movie header (and a mask's or slot-average model's contents) or checkpoint tensors; "
+        help="print a movie header (and a mask's contents) or checkpoint tensors; "
         "optionally dump a movie's frames",
     )
     sp.add_argument("file")
@@ -487,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("baseline", help="write baseline predictions per clip")
     sp.add_argument("--kind", required=True, choices=["slot_avg", "persistence", "zero"])
     sp.add_argument("--train", help="training movies for slot_avg (default: --data)")
-    sp.add_argument("--model-out", help="persist the slot-average model here")
     add_clip_source(sp)
     sp.set_defaults(func=cmd_baseline)
 

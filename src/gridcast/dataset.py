@@ -124,12 +124,6 @@ def collapse_time(frames: np.ndarray) -> CollapsedSample:
     return CollapsedSample(frames.reshape(t * c, h, w), t, c)
 
 
-def expand_time(sample: CollapsedSample) -> np.ndarray:
-    """Invert collapse_time: (t*c, h, w) back to (t, c, h, w)."""
-    k, h, w = sample.data.shape
-    return sample.data.reshape(sample.t, sample.c, h, w)
-
-
 def read_slots(path: str | Path, t: int) -> set[int]:
     """Read a test-slot filter file: one slot index per line, each in 0..t-1,
     where ``t`` is the frame count of the longest day the slots select from.

@@ -1,8 +1,8 @@
 """Activity masks: pixels whose values ever exceed a threshold.
 
 A mask marks grid cells that showed traffic above a threshold at any time in
-any channel; everything else can be zeroed in predictions. Threshold 0 gives
-the "always stayed zero" variant (exceed is strict).
+any channel. Threshold 0 gives the "always stayed zero" variant (exceed is
+strict).
 """
 
 from __future__ import annotations
@@ -40,15 +40,6 @@ def build_mask(movies: list[MovieReader], threshold: int) -> Mask:
         np.maximum(peak, m.read_all().max(axis=(0, 1)), out=peak)
         span += hdr.t
     return Mask(peak > threshold, threshold, span)
-
-
-def apply_mask(frames: np.ndarray, mask: Mask) -> np.ndarray:
-    """Zero inactive pixels across all leading (frame, channel) axes."""
-    if frames.shape[-2:] != mask.active.shape:
-        raise ValueError(
-            f"frame grid {frames.shape[-2:]} does not match mask {mask.active.shape}"
-        )
-    return frames * mask.active.astype(frames.dtype)
 
 
 def save_mask(mask: Mask, path: str | Path) -> Path:

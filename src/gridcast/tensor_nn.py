@@ -393,11 +393,6 @@ def mse_loss(pred: np.ndarray, target: np.ndarray):
     return loss, diff
 
 
-def round_half_up_uint8(x: np.ndarray) -> np.ndarray:
-    """Clamp to [0, 255] and round half-up to uint8 (19.5 -> 20)."""
-    return np.floor(np.clip(x, 0, 255) + 0.5).astype(np.uint8)
-
-
 # ---------------------------------------------------------------------------
 # U-Net
 

@@ -290,7 +290,7 @@ def predict(params: UNetParams, clip: Clip) -> np.ndarray:
     if cfg.normalize:
         out *= 255.0
         out += 128.0
-    # tensor_nn.round_half_up_uint8, in place
+    # clamp to [0, 255] and round half-up, in place: the round_half_up_uint8 of tests/test_tensor_nn.py
     np.clip(out, 0, 255, out=out)
     out += 0.5
     np.floor(out, out=out)

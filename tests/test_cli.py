@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gridcast import baselines, cli, dataset, masks, movie_store, tensor_nn as tn, trainer
+from gridcast import cli, dataset, masks, movie_store, tensor_nn as tn, trainer
 from gridcast.cli import main
 from gridcast.dataset import synth_movie
 from gridcast.movie_store import open_movie
@@ -66,6 +66,34 @@ def test_ingest_rejects_wrong_shape(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["empty", "zip", "padded", "npz", "truncated", "pickled"])
+def test_ingest_rejects_a_file_that_is_not_one_npy_array(tmp_path, capsys, case):
+    npy, out = tmp_path / "raw.npy", tmp_path / "m.tmm"
+    raw = np.zeros((2, 1, 3, 3), np.uint8)
+    if case == "empty":
+        npy.write_bytes(b"")
+    elif case == "zip":
+        npy.write_bytes(b"PK\x03\x04" + bytes(26))
+    elif case == "padded":
+        np.save(npy, raw)
+        with open(npy, "ab") as f:
+            f.write(b"junk")
+    elif case == "npz":
+        with open(npy, "wb") as f:  # a file object: np.savez would append .npz to a path
+            np.savez(f, raw)
+    elif case == "truncated":
+        np.save(npy, raw)
+        npy.write_bytes(npy.read_bytes()[:-4])
+    else:
+        np.save(npy, np.array([raw], dtype=object), allow_pickle=True)
+    assert run("ingest", "--input", npy, "--city", "x", "--date", "d", "--out", out) == 2
+    err = capsys.readouterr().err
+    named = {"empty": "EOF", "zip": "magic string", "padded": "bytes follow the .npy array", "npz": "magic string",
+             "truncated": "could only read 14 elements", "pickled": "allow_pickle=False"}
+    assert err.startswith("error: ") and err.count("\n") == 1 and named[case] in err
+    assert not out.exists()
+
+
 def test_inspect_missing_file(tmp_path):
     assert run("inspect", tmp_path / "nope.tmm") == 2
 
@@ -112,6 +140,21 @@ def test_mask_threshold_zero_on_zero_movie(tmp_path):
     assert run("mask", "--data", data, "--threshold", 0, "--out", mask_file) == 0
     with open_movie(mask_file) as m:
         assert not m.read_all().any()
+
+
+@pytest.mark.parametrize("bad", ["no_parent", "parent_is_a_file", "out_is_a_directory"])
+def test_mask_rejects_an_unwritable_out_before_it_reads_a_frame(tmp_path, capsys, monkeypatch, bad):
+    data = tmp_path / "data"
+    assert run("synth", "--kind", "constant", "--shape", "16,3,4,4", "--out", data) == 0
+    monkeypatch.setattr(masks, "build_mask", lambda *a: pytest.fail("a frame was read"))
+    parent = {"no_parent": tmp_path / "nodir", "parent_is_a_file": tmp_path / "file"}.get(bad, tmp_path)
+    out = parent / "mask.tmm"
+    if bad == "parent_is_a_file":
+        parent.write_bytes(b"")
+    elif bad == "out_is_a_directory":
+        out.mkdir()
+    assert run("mask", "--data", data, "--threshold", 0, "--out", out) == 2
+    assert f"error: --out {out}: " in capsys.readouterr().err
 
 
 @pytest.fixture
@@ -195,19 +238,13 @@ def test_slot_avg_baseline_matches_library(pipeline_dirs, tmp_path):
 
     data, slots = pipeline_dirs
     out = tmp_path / "avg"
-    model_file = tmp_path / "avg_model.tmm"
-    assert run(
-        "baseline", "--kind", "slot_avg", "--data", data, "--slots", slots,
-        "--out", out, "--model-out", model_file,
-    ) == 0
+    assert run("baseline", "--kind", "slot_avg", "--data", data, "--slots", slots, "--out", out) == 0
     with contextlib.ExitStack() as stack:
         movies = [stack.enter_context(open_movie(p)) for p in sorted(data.glob("*.tmm"))]
         model = baselines.time_slot_average(movies, [20, 21, 22, 28, 29, 30])
     expected = baselines.predict_slot_average(model, ClipSpec("q", "2019-05-01", 8))
     with open_movie(out / "q__2019-05-01__t0008.tmm") as m:
         assert np.array_equal(m.read_all(), expected)
-    assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith("avg_model")) == ["avg_model.tmm"]
-    assert baselines.load_model(model_file).slots == [20, 21, 22, 28, 29, 30]
 
 
 @pytest.mark.parametrize("train_shape", ["48,3,4,4", "48,1,8,8"], ids=["grid", "channels"])
@@ -218,13 +255,10 @@ def test_slot_avg_baseline_rejects_model_on_other_grid(pipeline_dirs, tmp_path, 
     train = tmp_path / "train"
     run("synth", "--kind", "constant", "--shape", train_shape, "--days", 2, "--out", train)
     monkeypatch.setattr(baselines, "time_slot_average", lambda *a: pytest.fail("a training frame was read"))
-    out, model_file = tmp_path / "avg", tmp_path / "model.tmm"
-    assert run(
-        "baseline", "--kind", "slot_avg", "--train", train, "--data", data, "--slots", slots,
-        "--out", out, "--model-out", model_file,
-    ) == 2
+    out = tmp_path / "avg"
+    assert run("baseline", "--kind", "slot_avg", "--train", train, "--data", data, "--slots", slots, "--out", out) == 2
     assert "q_2019-05-01.tmm: grid (c, h, w) (3, 8, 8) differs from the slot-average" in capsys.readouterr().err
-    assert not out.exists() and not model_file.exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("second_city_in", ["data", "train"])
@@ -244,16 +278,33 @@ def test_slot_avg_baseline_rejects_two_cities(tmp_path, capsys, monkeypatch, sec
 
 def test_evaluate_identical_dirs_reports_zero(pipeline_dirs, tmp_path, capsys):
     data, slots = pipeline_dirs
-    out = tmp_path / "truth"
-    assert run("targets", "--data", data, "--slots", slots, "--out", out) == 0
+    pred, truth = tmp_path / "pred", tmp_path / "truth"
+    for out in (pred, truth):
+        assert run("targets", "--data", data, "--slots", slots, "--out", out) == 0
     report = tmp_path / "report.json"
-    assert run("evaluate", "--pred", out, "--truth", out, "--report", report) == 0
+    assert run("evaluate", "--pred", pred, "--truth", truth, "--report", report) == 0
     doc = json.loads(report.read_text())
     assert doc["overall"] == 0.0
     assert doc["per_frame"] == [0.0, 0.0, 0.0]
     assert doc["per_city"] == {"q": 0.0}
     assert doc["clips"] == 6
     assert set(doc) == {"overall", "per_frame", "per_channel", "per_city", "clips"}
+
+
+@pytest.mark.parametrize("alias", ["as_given", "through_its_parent", "symlink"])
+def test_evaluate_rejects_a_directory_scored_against_itself(pipeline_dirs, tmp_path, capsys, monkeypatch, alias):
+    data, slots = pipeline_dirs
+    truth = tmp_path / "truth"
+    assert run("targets", "--data", data, "--slots", slots, "--out", truth) == 0
+    pred = {"as_given": truth, "through_its_parent": tmp_path / "." / "truth" / ".." / "truth",
+            "symlink": tmp_path / "link"}[alias]
+    if alias == "symlink":
+        pred.symlink_to(truth)
+    monkeypatch.setattr(trainer, "evaluate", lambda *a: pytest.fail("a clip was scored"))
+    report = tmp_path / "r.json"
+    assert run("evaluate", "--pred", pred, "--truth", truth, "--report", report) == 2
+    assert f"--pred {pred} and --truth {truth} are the same directory" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_evaluate_single_pixel_error_report(tmp_path):
@@ -353,24 +404,15 @@ def test_inspect_prints_a_masks_threshold_span_and_active_pixels(tmp_path, capsy
     assert capsys.readouterr().out.splitlines()[1] == "mask: threshold=40 source_span=96 active=3 of 20 pixels"
 
 
-def test_inspect_prints_a_slot_average_models_slots(tmp_path, capsys):
-    frames = {s: np.full((3, 2, 2), s, np.uint8) for s in (12, 24, 100)}
-    path = baselines.save_model(baselines.SlotAverageModel(frames), tmp_path / "model.tmm")
-    assert run("inspect", path) == 0
-    assert capsys.readouterr().out.splitlines()[1] == "slot-average model: slots=12,24,100"
-
-
 @pytest.mark.parametrize(
     "frames, city, date, named",
     [
         (np.zeros((1, 1, 2, 2), np.uint8), "mask-thr40-nX", "MASK", "mask metadata"),
         (np.full((1, 1, 2, 2), 7, np.uint8), "mask-thr40-n9", "MASK", "values must be 0 or 255"),
         (np.zeros((2, 1, 2, 2), np.uint8), "mask-thr40-n9", "MASK", "not a mask file"),
-        (np.zeros((2, 1, 2, 2), np.uint8), "slot-average-s5,3", "MODEL", "not a model of 2 increasing slots"),
-        (np.zeros((2, 1, 2, 2), np.uint8), "slot-average-s5", "MODEL", "not a model of 2 increasing slots"),
     ],
 )
-def test_inspect_rejects_a_malformed_mask_or_model(tmp_path, capsys, frames, city, date, named):
+def test_inspect_rejects_a_malformed_mask(tmp_path, capsys, frames, city, date, named):
     path = movie_store.ingest(frames, city, date, tmp_path / "bad.tmm")
     assert run("inspect", path) == 2
     assert named in capsys.readouterr().err
@@ -618,14 +660,28 @@ def test_synth_rejects_a_value_for_a_kind_that_has_none(tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize("kind", ["persistence", "zero"])
-@pytest.mark.parametrize("flag", ["--train", "--model-out"])
-def test_baseline_rejects_model_flags_for_a_kind_without_a_model(pipeline_dirs, tmp_path, capsys, kind, flag):
+def test_baseline_rejects_train_for_a_kind_without_a_model(pipeline_dirs, tmp_path, capsys, kind):
     data, slots = pipeline_dirs
     out = tmp_path / "out"
-    value = tmp_path / "missing"  # neither read nor written
-    assert run("baseline", "--kind", kind, flag, value, "--data", data, "--slots", slots, "--out", out) == 2
-    assert f"--model-out are for --kind slot_avg; --kind {kind} has no model" in capsys.readouterr().err
-    assert not out.exists() and not value.exists()
+    train = tmp_path / "missing"  # never read
+    assert run("baseline", "--kind", kind, "--train", train, "--data", data, "--slots", slots, "--out", out) == 2
+    assert capsys.readouterr().err == f"error: --train is for --kind slot_avg; --kind {kind} has no model\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["no_parent", "parent_is_a_file", "out_is_a_directory", "log_is_a_directory"])
+def test_train_rejects_an_unwritable_out_before_it_opens_a_movie(pipeline_dirs, tmp_path, capsys, monkeypatch, bad):
+    data, _ = pipeline_dirs
+    monkeypatch.setattr(cli.movie_store, "open_movie", lambda *a: pytest.fail("a movie was opened"))
+    monkeypatch.setattr(trainer, "train", lambda *a: pytest.fail("trained"))
+    parent = {"no_parent": tmp_path / "nodir", "parent_is_a_file": tmp_path / "file"}.get(bad, tmp_path)
+    ckpt = parent / "x.unp"
+    if bad == "parent_is_a_file":
+        parent.write_bytes(b"")
+    elif bad != "no_parent":
+        Path(ckpt if bad == "out_is_a_directory" else f"{ckpt}.csv").mkdir()
+    assert run("train", "--config", train_config(tmp_path), "--data", data, "--out", ckpt) == 2
+    assert f"error: --out {ckpt}: " in capsys.readouterr().err
 
 
 def test_train_missing_data_dir(tmp_path):
@@ -813,8 +869,9 @@ def test_evaluate_reads_one_pair_at_a_time(pipeline_dirs, tmp_path, monkeypatch)
     from gridcast import movie_store
 
     data, slots = pipeline_dirs
-    truth = tmp_path / "truth"
-    assert run("targets", "--data", data, "--slots", slots, "--out", truth) == 0
+    pred, truth = tmp_path / "pred", tmp_path / "truth"
+    for out in (pred, truth):
+        assert run("targets", "--data", data, "--slots", slots, "--out", out) == 0
     read_all, reads, held = movie_store.MovieReader.read_all, [], []
 
     def counted(self):
@@ -828,7 +885,7 @@ def test_evaluate_reads_one_pair_at_a_time(pipeline_dirs, tmp_path, monkeypatch)
 
     monkeypatch.setattr(movie_store.MovieReader, "read_all", counted)
     monkeypatch.setattr(trainer, "evaluate", evaluate)
-    assert run("evaluate", "--pred", truth, "--truth", truth, "--report", tmp_path / "r.json") == 0
+    assert run("evaluate", "--pred", pred, "--truth", truth, "--report", tmp_path / "r.json") == 0
     assert held == [2, 4, 6, 8, 10, 12]
 
 

@@ -5,7 +5,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from gridcast import dataset
 from gridcast.dataset import (
@@ -13,7 +12,6 @@ from gridcast.dataset import (
     CollapsedSample,
     collapse_time,
     enumerate_clips,
-    expand_time,
     index_movies,
     load_clip,
     read_slots,
@@ -133,22 +131,12 @@ def test_collapse_matches_naive_oracle():
         assert np.array_equal(sample.data[k], frames[k // c, k % c])
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(1, 6), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5),
-    st.integers(0, 2**32 - 1),
-)
-def test_expand_inverts_collapse(t, c, h, w, seed):
-    rng = np.random.default_rng(seed)
-    frames = rng.integers(0, 256, size=(t, c, h, w), dtype=np.uint8)
-    assert np.array_equal(expand_time(collapse_time(frames)), frames)
-
-
-def test_expand_shape_and_divisibility():
-    sample = CollapsedSample(np.zeros((9, 4, 4)), 3, 3)
-    assert expand_time(sample).shape == (3, 3, 4, 4)
-    with pytest.raises(ValueError):
+def test_collapsed_sample_checks_its_shape():
+    assert CollapsedSample(np.zeros((9, 4, 4)), 3, 3).data.shape == (9, 4, 4)
+    with pytest.raises(ValueError, match=r"channel count 7 != t\*c = 3\*3"):
         CollapsedSample(np.zeros((7, 4, 4)), 3, 3)
+    with pytest.raises(ValueError, match=r"expected \(t\*c, h, w\) data"):
+        CollapsedSample(np.zeros((9, 4)), 3, 3)
 
 
 def test_slots_file_roundtrip(tmp_path):

@@ -1,11 +1,13 @@
 import contextlib
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridcast.masks import Mask, apply_mask, build_mask, load_mask, save_mask
+from gridcast.masks import build_mask, load_mask, save_mask
 from gridcast.movie_store import ingest, open_movie
 
 
@@ -79,46 +81,22 @@ def test_threshold_monotonicity(store):
         prev = cur
 
 
-def test_apply_mask_identity_and_zero():
-    frames = np.full((3, 3, 4, 4), 9, dtype=np.uint8)
-    all_active = Mask(np.ones((4, 4), dtype=bool), 0, 1)
-    none_active = Mask(np.zeros((4, 4), dtype=bool), 0, 1)
-    assert np.array_equal(apply_mask(frames, all_active), frames)
-    assert not apply_mask(frames, none_active).any()
-
-
-def test_apply_mask_checkerboard():
-    frames = np.full((2, 1, 4, 4), 7, dtype=np.uint8)
-    board = np.indices((4, 4)).sum(axis=0) % 2 == 0
-    out = apply_mask(frames, Mask(board, 0, 1))
-    assert np.array_equal(out[0, 0], np.where(board, 7, 0))
-
-
-def test_apply_mask_idempotent(tmp_path):
-    rng = np.random.default_rng(11)
-    frames = rng.integers(0, 256, size=(3, 3, 6, 6), dtype=np.uint8)
-    mask = Mask(rng.integers(0, 2, size=(6, 6)).astype(bool), 0, 1)
-    once = apply_mask(frames, mask)
-    assert np.array_equal(apply_mask(once, mask), once)
-
-
-def test_apply_mask_shape_mismatch():
-    with pytest.raises(ValueError):
-        apply_mask(np.zeros((3, 3, 4, 4)), Mask(np.ones((5, 5), dtype=bool), 0, 1))
-
-
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_zero_threshold_truth_mask_never_hurts_on_dead_pixels(seed):
+    """A threshold-0 mask built from the truth is inactive exactly where the
+    truth is all zeros, so zeroing a prediction there removes its error."""
     rng = np.random.default_rng(seed)
     truth = rng.integers(0, 256, size=(3, 3, 5, 5), dtype=np.uint8)
     dead = rng.integers(0, 2, size=(5, 5)).astype(bool)
     truth[:, :, dead] = 0
     pred = rng.integers(0, 256, size=(3, 3, 5, 5), dtype=np.uint8)
-    mask = Mask(truth.max(axis=(0, 1)) > 0, 0, truth.shape[0])
-    masked = apply_mask(pred, mask)
+    with tempfile.TemporaryDirectory() as tmp, open_movie(ingest(truth, "c", "2019-03-01", Path(tmp) / "t.tmm")) as m:
+        mask = build_mask([m], threshold=0)
+    assert np.array_equal(mask.active, ~dead)
+    masked = np.where(mask.active, pred, 0)
     err = lambda p: ((p.astype(np.float64) - truth) ** 2)[:, :, dead].sum()
-    assert err(masked) <= err(pred)
+    assert err(masked) == 0 <= err(pred)
 
 
 def test_mask_file_roundtrip(store, tmp_path):

