@@ -10,7 +10,6 @@ from .dataset import (
     synth_movie,
 )
 from .baselines import (
-    SlotAverageModel,
     persistence,
     predict_slot_average,
     time_slot_average,

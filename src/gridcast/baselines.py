@@ -9,22 +9,16 @@ integers, when the model is built: ``(2 * sum + n) // (2 * n)``, which is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import Clip, ClipSpec, INPUT_FRAMES, TARGET_FRAMES
 from .movie_store import MovieReader, check_grid, ingest  # ingest: bench/hooks.py wraps baselines.ingest
 
 
-@dataclass
-class SlotAverageModel:
-    frames: dict[int, np.ndarray]  # slot -> (c, h, w) uint8 mean, rounded half-up
-
-
-def time_slot_average(train_movies: list[MovieReader], slots) -> SlotAverageModel:
-    """Average each requested slot over the training days that reach it; the
-    days must share one (c, h, w) grid and every slot must be reached by one."""
+def time_slot_average(train_movies: list[MovieReader], slots) -> dict[int, np.ndarray]:
+    """Average each requested slot over the training days that reach it: the
+    model, ``{slot: (c, h, w) uint8 mean}``. The days must share one (c, h, w)
+    grid and every slot must be reached by one."""
     slots = sorted(set(slots))
     if not train_movies:
         raise ValueError("need at least one training day")
@@ -48,14 +42,14 @@ def time_slot_average(train_movies: list[MovieReader], slots) -> SlotAverageMode
         total += n
         total //= 2 * n
         frame[...] = total
-    return SlotAverageModel(dict(zip(slots, frames)))
+    return dict(zip(slots, frames))
 
 
-def predict_slot_average(model: SlotAverageModel, spec: ClipSpec) -> np.ndarray:
-    """Predict the 3 target frames of a clip: the model's frames of the slots
-    that follow its input."""
+def predict_slot_average(frames: dict[int, np.ndarray], spec: ClipSpec) -> np.ndarray:
+    """Predict the 3 target frames of a clip: the slot-average ``frames`` of
+    the slots that follow its input."""
     first = spec.t_start + INPUT_FRAMES  # the first predicted slot
-    return np.stack([model.frames[first + j] for j in range(TARGET_FRAMES)])
+    return np.stack([frames[first + j] for j in range(TARGET_FRAMES)])
 
 
 def persistence(clip: Clip) -> np.ndarray:

@@ -134,6 +134,8 @@ def cmd_synth(args) -> int:
     start = _date.fromisoformat(args.start_date)
     # a movie is a function of kind, seed, shape and value: every day is this one
     movie = dataset.synth_movie(args.kind, args.seed, shape, value=args.value or 0)
+    # the first day's header: a city that MovieHeader rejects fails before --out is made
+    movie_store.MovieHeader(movie_store.VERSION, *shape, args.city, start.isoformat())
     if not single:  # made once the movie exists, so a rejected one leaves nothing
         out.mkdir(parents=True, exist_ok=True)
     for i in range(args.days):
@@ -422,17 +424,20 @@ def cmd_evaluate(args) -> int:
             f"{sorted(names ^ truth_names)[:3]}"
         )
     order = sorted(names)
-    cities = []  # recorded as each prediction is read: evaluate takes a clip's city after its frames
+    keys = []  # each prediction's (city, date), recorded as evaluate reads it, before its truth
 
-    def frames(directory, record=None):  # one clip's frames at a time, read as evaluate asks for them
-        for name in order:
+    def frames(directory, truth):  # one clip's frames at a time, read as evaluate asks for them
+        for i, name in enumerate(order):
             with movie_store.open_movie(directory / name) as m:
-                if record is not None:
-                    record.append(m.header.city)
+                key = m.header.city, m.header.date
+                if not truth:
+                    keys.append(key)
+                elif key != keys[i]:
+                    raise ValueError(f"{name}: the truth is of {key}, its prediction of {keys[i]}")
                 clip = m.read_all()
             yield clip
 
-    metrics = trainer.evaluate(frames(pred_dir, cities), frames(truth_dir), cities)
+    metrics = trainer.evaluate(frames(pred_dir, False), frames(truth_dir, True), (city for city, _ in keys))
     with movie_store._atomic_write(args.report, "w") as f:
         json.dump(dataclasses.asdict(metrics), f, indent=2)
         f.write("\n")

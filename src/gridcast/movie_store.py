@@ -39,7 +39,8 @@ _FIXED = struct.Struct("<4sHHIII")
 
 
 class MovieFormatError(ValueError):
-    """Raised for files that violate the TMM1 layout (magic, version, size)."""
+    """Raised for files that violate the TMM1 layout (magic, version, size)
+    and for a city or date that could name a path outside a directory."""
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,9 @@ class MovieHeader:
         for name in ("t", "c", "h", "w"):
             if getattr(self, name) < 1:
                 raise MovieFormatError(f"header field {name} must be >= 1")
+        for name, value in (("city", self.city), ("date", self.date)):  # they name output files
+            if "/" in value or "\0" in value:
+                raise MovieFormatError(f"header {name} {value!r} contains '/' or NUL")
 
     @property
     def frame_bytes(self) -> int:

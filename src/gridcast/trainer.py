@@ -66,15 +66,6 @@ class SGDConfig:
             raise ValueError("batch_size must be >= 1")
 
 
-@dataclass
-class TrainState:
-    params: UNetParams
-    velocity: UNetParams
-    epoch: int
-    step: int
-    rng: np.random.Generator
-
-
 @dataclass(frozen=True)
 class EpochLog:
     epoch: int
@@ -86,7 +77,6 @@ class EpochLog:
 
 @dataclass
 class TrainResult:
-    state: TrainState
     best_params: UNetParams
     best_val_mse: float
     log: list[EpochLog]
@@ -98,35 +88,21 @@ def lr_schedule(epoch: int, config: SGDConfig) -> float:
 
 
 def sgd_step(
-    state: TrainState,
+    params: UNetParams,
+    velocity: UNetParams,
     grads: dict[str, np.ndarray],
     lr: float,
     momentum: float,
-) -> TrainState:
-    """One in-place Nesterov-momentum SGD update over every parameter tensor."""
-    for name, p in state.params.tensors.items():
+) -> None:
+    """One in-place Nesterov-momentum SGD update of ``params`` and ``velocity``."""
+    for name, p in params.tensors.items():
         g = grads[name]
         if not np.all(np.isfinite(g)):
-            raise NumericalError(
-                f"non-finite gradient for {name!r} at step {state.step}"
-            )
-        v = state.velocity.tensors[name]
+            raise NumericalError(f"non-finite gradient for {name!r}")
+        v = velocity.tensors[name]
         v *= momentum
         v += g
         p -= (lr * (g + momentum * v)).astype(p.dtype, copy=False)
-    state.step += 1
-    return state
-
-
-def new_state(unet_config: UNetConfig, sgd_config: SGDConfig) -> TrainState:
-    params = init_params(unet_config, sgd_config.seed)
-    return TrainState(
-        params=params,
-        velocity=params.zeros_like(),
-        epoch=0,
-        step=0,
-        rng=np.random.default_rng(sgd_config.seed),
-    )
 
 
 def _stack_inputs(blocks: list[np.ndarray], cfg: UNetConfig, multiple: int = 1) -> np.ndarray:
@@ -168,7 +144,9 @@ def _loss_scale(cfg: UNetConfig) -> float:
     return 255.0**2 if cfg.normalize else 1.0
 
 
-def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGDConfig) -> float:
+def _train_step(
+    params: UNetParams, velocity: UNetParams, batch: list[Clip], lr: float, momentum: float
+) -> float:
     """Forward, backward and SGD update on one batch; returns its loss. The
     input is stacked straight into its padded array for the forward. Only
     ``enc0.conv1``'s weight gradient reads it again, as the backward's last
@@ -177,24 +155,22 @@ def _train_step(state: TrainState, batch: list[Clip], lr: float, sgd_config: SGD
     stacked only after the forward, and the loss gradient is written into the
     prediction's own padded array. The prediction, cache and gradients all
     die when it returns, so none of them is held while validation runs."""
-    cfg = state.params.config
+    cfg = params.config
     stack = functools.partial(_stack_inputs, [c.input for c in batch], cfg, cfg.spatial_multiple)
-    out, cache = unet_forward_cached(state.params, stack())
+    out, cache = unet_forward_cached(params, stack())
     cache[0] = stack
     y = _stack_inputs([c.target for c in batch], cfg)
     h, w = y.shape[-2:]
     loss, grad_pred = mse_loss(out[:, :, :h, :w], y)
     del y
     if not math.isfinite(loss):
-        raise NumericalError(
-            f"non-finite training loss at epoch {state.epoch} step {state.step}"
-        )
+        raise NumericalError("non-finite training loss")
     # the gradient of a crop is a zero pad, as _stack_inputs pads the input
     out[:, :, :h, :w] = grad_pred
     out[:, :, h:] = 0
     out[:, :, :h, w:] = 0
     del grad_pred
-    sgd_step(state, unet_backward_cached(state.params, cache, out), lr, sgd_config.momentum)
+    sgd_step(params, velocity, unet_backward_cached(params, cache, out), lr, momentum)
     return loss
 
 
@@ -212,7 +188,10 @@ def train(
     raises NumericalError."""
     if not train_clips or not val_clips:
         raise ValueError("train and validation clip sets must be nonempty")
-    state = new_state(unet_config, sgd_config)
+    params = init_params(unet_config, sgd_config.seed)
+    velocity = params.zeros_like()
+    rng = np.random.default_rng(sgd_config.seed)
+    step = 0
     scale = _loss_scale(unet_config)
     log: list[EpochLog] = []
     best_params = None
@@ -220,18 +199,22 @@ def train(
 
     for epoch in range(sgd_config.epochs):
         lr = lr_schedule(epoch, sgd_config)
-        order = state.rng.permutation(len(train_clips))
+        order = rng.permutation(len(train_clips))
         total_loss = 0.0
         total_n = 0
         for lo in range(0, len(order), sgd_config.batch_size):
             batch = [train_clips[i] for i in order[lo : lo + sgd_config.batch_size]]
-            loss = _train_step(state, batch, lr, sgd_config)
+            try:
+                loss = _train_step(params, velocity, batch, lr, sgd_config.momentum)
+            except NumericalError as e:
+                raise NumericalError(f"{e} at epoch {epoch} step {step}") from e
+            step += 1
             total_loss += loss * len(batch)
             total_n += len(batch)
 
         train_mse = scale * total_loss / total_n
         val_mse, val_slots_mse = validation_losses(
-            state.params, val_clips, test_slots, sgd_config.batch_size
+            params, val_clips, test_slots, sgd_config.batch_size
         )
         log.append(EpochLog(epoch, lr, train_mse, val_mse, val_slots_mse))
         if not math.isfinite(val_mse):
@@ -239,10 +222,9 @@ def train(
             raise NumericalError(f"non-finite validation loss at epoch {epoch}")
         if val_mse < best_val:
             best_val = val_mse
-            best_params = state.params.copy()
-        state.epoch = epoch + 1
+            best_params = params.copy()
 
-    return TrainResult(state, best_params, best_val, log)
+    return TrainResult(best_params, best_val, log)
 
 
 def validation_losses(

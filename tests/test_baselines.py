@@ -29,14 +29,14 @@ def store_days(tmp_path):
 def test_mean_of_constant_days(store_days):
     days = [np.full((20, 3, 2, 2), v, dtype=np.uint8) for v in (10, 20, 30)]
     model = time_slot_average(store_days(days), slots=[5])
-    assert model.frames[5].dtype == np.uint8
-    assert np.all(model.frames[5] == 20)
+    assert model[5].dtype == np.uint8
+    assert np.all(model[5] == 20)
 
 
 def test_slot_averages_the_days_that_reach_it(store_days):
     days = [np.full((20, 1, 2, 2), 10, np.uint8), np.full((30, 1, 2, 2), 40, np.uint8)]
     model = time_slot_average(store_days(days), slots=[19, 25])
-    assert np.all(model.frames[19] == 25) and np.all(model.frames[25] == 40)
+    assert np.all(model[19] == 25) and np.all(model[25] == 40)
 
 
 def test_all_zero_training_data(store_days):
@@ -55,7 +55,7 @@ def test_matches_brute_force_oracle(store_days):
     stacked = np.stack(days).astype(np.float64)
     for s in slots:
         brute = np.floor(stacked[:, s].mean(axis=0) + 0.5)  # half-up
-        assert np.array_equal(model.frames[s], brute)
+        assert np.array_equal(model[s], brute)
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -67,7 +67,7 @@ def test_integer_rounding_matches_float_half_up_for_every_residue(store_days, n)
     assert np.array_equal(np.sum(days, axis=0, dtype=np.int64)[0, 0, 0], sums)
     model = time_slot_average(store_days(days), [0])
     expected = np.floor(sums.astype(np.float64) / n + 0.5)
-    assert np.array_equal(model.frames[0][0, 0], expected)
+    assert np.array_equal(model[0][0, 0], expected)
 
 
 def test_integer_rounding_of_slots_that_only_some_days_reach(store_days):
@@ -77,7 +77,7 @@ def test_integer_rounding_of_slots_that_only_some_days_reach(store_days):
     for s in range(7):
         reached = [d[s] for d in days if s < len(d)]
         total = np.sum(reached, axis=0, dtype=np.int64).astype(np.float64)
-        assert np.array_equal(model.frames[s], np.floor(total / len(reached) + 0.5)), s
+        assert np.array_equal(model[s], np.floor(total / len(reached) + 0.5)), s
 
 
 def test_day_permutation_invariance(store_days):
@@ -86,9 +86,9 @@ def test_day_permutation_invariance(store_days):
     movies = store_days(days)
     a = time_slot_average(movies, [2, 9])
     b = time_slot_average(list(reversed(movies)), [2, 9])
-    assert sorted(a.frames) == sorted(b.frames) == [2, 9]
+    assert sorted(a) == sorted(b) == [2, 9]
     for s in (2, 9):
-        assert np.array_equal(a.frames[s], b.frames[s])
+        assert np.array_equal(a[s], b[s])
 
 
 def test_errors(store_days):
@@ -142,7 +142,7 @@ def test_slot_average_peak_memory_below_one_int64_frame_per_slot(store_days):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sorted(model.frames) == list(range(48))
+    assert sorted(model) == list(range(48))
     assert peak < 48 * 3 * 64 * 64 * 8, f"peaked at {peak} B"
 
 

@@ -4,6 +4,7 @@ import gc
 import json
 import math
 import os
+import struct
 import warnings
 from pathlib import Path
 
@@ -322,6 +323,60 @@ def test_evaluate_single_pixel_error_report(tmp_path):
     report = tmp_path / "r.json"
     assert run("evaluate", "--pred", pred_dir, "--truth", truth_dir, "--report", report) == 0
     assert json.loads(report.read_text())["overall"] == pytest.approx(65025 / 36)
+
+
+@pytest.mark.parametrize("truth_city, truth_date", [("moscow", "2019-03-01"), ("berlin", "2019-01-08")])
+def test_evaluate_rejects_a_prediction_of_another_clip(tmp_path, capsys, truth_city, truth_date):
+    from gridcast.movie_store import ingest
+
+    pred, truth = tmp_path / "p", tmp_path / "t"
+    pred.mkdir()
+    truth.mkdir()
+    frames = np.zeros((3, 3, 2, 2), dtype=np.uint8)
+    ingest(frames, "berlin", "2019-01-07", pred / "x.tmm")
+    ingest(frames, truth_city, truth_date, truth / "x.tmm")
+    report = tmp_path / "r.json"
+    assert run("evaluate", "--pred", pred, "--truth", truth, "--report", report) == 2
+    err = capsys.readouterr().err
+    assert f"x.tmm: the truth is of {(truth_city, truth_date)}, its prediction of ('berlin', '2019-01-07')" in err
+    assert not report.exists()
+
+
+def _tmm_bytes(city: str, date: str, shape=(20, 3, 4, 4)) -> bytes:
+    """A TMM1 file of zero frames, written field by field, so that no header check runs."""
+    t, c, h, w = shape
+    strings = b"".join(len(s.encode()).to_bytes(2, "little") + s.encode() for s in (city, date))
+    return b"TMM1" + struct.pack("<HHIII", 1, c, t, h, w) + strings + bytes(t * c * h * w)
+
+
+@pytest.mark.parametrize(
+    "command, field, value",
+    [
+        ("synth", "city", "../escaped"),
+        ("ingest", "city", "../leak"),
+        ("ingest", "date", "2019-01-07\0"),
+        ("targets", "city", "../leak"),
+        ("targets", "date", "../2019-01-07"),
+    ],
+)
+def test_a_city_or_date_that_names_a_path_is_rejected(tmp_path, capsys, monkeypatch, command, field, value):
+    monkeypatch.chdir(tmp_path)
+    header = {"city": "q", "date": "2019-01-07", field: value}
+    if command == "ingest":
+        np.save("raw.npy", synth_movie("random", 0, (20, 3, 4, 4)))
+    if command == "targets":
+        Path("data").mkdir()
+        Path("data/x.tmm").write_bytes(_tmm_bytes(**header))
+    before = sorted(tmp_path.rglob("*"))
+    argv = {
+        "synth": ["synth", "--kind", "slot_pattern", "--shape", "20,3,4,4", "--city", value, "--out", "movies/"],
+        "ingest": ["ingest", "--input", "raw.npy", "--city", header["city"], "--date", header["date"],
+                   "--out", "data.tmm"],
+        "targets": ["targets", "--data", "data", "--out", "truth"],
+    }[command]
+    assert run(*argv) == 2
+    assert f"header {field} {value!r} contains '/' or NUL" in capsys.readouterr().err
+    assert sorted(tmp_path.rglob("*")) == before  # at worst "../" reaches tmp_path, from movies/ or truth.part/
 
 
 def test_evaluate_missing_truth_errors(pipeline_dirs, tmp_path):
@@ -1047,10 +1102,10 @@ def test_train_rejects_a_unet_too_deep_for_the_grid(pipeline_dirs, tmp_path, cap
     path = train_config(tmp_path)
     cfg = json.loads(path.read_text())
 
-    def new_state(*args):
+    def init_params(*args):
         raise _WeightsDrawn
 
-    monkeypatch.setattr(trainer, "new_state", new_state)
+    monkeypatch.setattr(trainer, "init_params", init_params)
     ckpt = tmp_path / "x.unp"
     cfg["unet"]["depth"] = 4  # pools 8x8 three times, down to 1x1: allowed
     path.write_text(json.dumps(cfg))
@@ -1073,10 +1128,10 @@ def test_train_rejects_parameters_beyond_memory(tmp_path, capsys, monkeypatch):
     path = train_config(tmp_path)
     cfg = json.loads(path.read_text())
 
-    def new_state(*args):
+    def init_params(*args):
         raise _WeightsDrawn
 
-    monkeypatch.setattr(trainer, "new_state", new_state)
+    monkeypatch.setattr(trainer, "init_params", init_params)
     ckpt = tmp_path / "x.unp"
     cfg["unet"] = {"depth": 9, "base_channels": 4}  # 256 rows pool down to 1: allowed, and small
     path.write_text(json.dumps(cfg))
@@ -1110,10 +1165,10 @@ def test_train_counts_the_days_it_holds_against_memory(tmp_path, capsys, monkeyp
         sizes = {"SC_PHYS_PAGES": memory, "SC_PAGE_SIZE": 1}
         monkeypatch.setattr(os, "sysconf", lambda name: sizes.get(name) or real_sysconf(name))
 
-    def new_state(*args):
+    def init_params(*args):
         raise _WeightsDrawn
 
-    monkeypatch.setattr(trainer, "new_state", new_state)
+    monkeypatch.setattr(trainer, "init_params", init_params)
     ckpt = tmp_path / "x.unp"
     with_memory(params + days + cache)
     with pytest.raises(_WeightsDrawn):  # fits exactly: the clips are loaded and training starts

@@ -14,10 +14,8 @@ from gridcast.trainer import (
     EpochLog,
     NumericalError,
     SGDConfig,
-    TrainState,
     evaluate,
     lr_schedule,
-    new_state,
     predict,
     sgd_step,
     train,
@@ -27,41 +25,41 @@ from gradcheck import ringed
 from test_tensor_nn import cache_bytes, round_half_up_uint8
 
 
-def scalar_state(value=1.0):
-    """A one-parameter state for hand-checking optimizer arithmetic."""
+def scalar_params(value=1.0):
+    """One-parameter params and velocity for hand-checking optimizer arithmetic."""
     cfg = tn.UNetConfig(depth=1, in_channels=1, out_channels=1, base_channels=1)
     params = tn.UNetParams(cfg, {"p": np.array([value], dtype=np.float64)})
-    return TrainState(params, params.zeros_like(), 0, 0, np.random.default_rng(0))
+    return params, params.zeros_like()
 
 
 # ---------------------------------------------------------------------------
 # optimizer arithmetic
 
 def test_sgd_step_momentum_free_is_vanilla():
-    state = scalar_state(1.0)
-    sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.0)
-    assert state.params.tensors["p"][0] == pytest.approx(1.0 - 0.02, abs=1e-15)
+    params, velocity = scalar_params(1.0)
+    sgd_step(params, velocity, {"p": np.array([1.0])}, lr=0.02, momentum=0.0)
+    assert params.tensors["p"][0] == pytest.approx(1.0 - 0.02, abs=1e-15)
 
 
 def test_sgd_step_nesterov_hand_value():
-    state = scalar_state(1.0)
-    sgd_step(state, {"p": np.array([1.0])}, lr=0.02, momentum=0.9)
+    params, velocity = scalar_params(1.0)
+    sgd_step(params, velocity, {"p": np.array([1.0])}, lr=0.02, momentum=0.9)
     # v = 1; update = lr * (g + mu * v) = 0.02 * 1.9 = 0.038
-    assert state.velocity.tensors["p"][0] == 1.0
-    assert state.params.tensors["p"][0] - 1.0 == pytest.approx(-0.038, abs=1e-12)
+    assert velocity.tensors["p"][0] == 1.0
+    assert params.tensors["p"][0] - 1.0 == pytest.approx(-0.038, abs=1e-12)
 
 
 def test_sgd_step_zero_grad_keeps_params():
-    state = scalar_state(3.0)
-    sgd_step(state, {"p": np.array([0.0])}, lr=0.5, momentum=0.9)
-    assert state.params.tensors["p"][0] == 3.0
-    assert state.step == 1
+    params, velocity = scalar_params(3.0)
+    assert sgd_step(params, velocity, {"p": np.array([0.0])}, lr=0.5, momentum=0.9) is None
+    assert params.tensors["p"][0] == 3.0
+    assert velocity.tensors["p"][0] == 0.0
 
 
 def test_sgd_step_rejects_non_finite():
-    state = scalar_state(1.0)
-    with pytest.raises(NumericalError, match="non-finite gradient"):
-        sgd_step(state, {"p": np.array([np.nan])}, lr=0.1, momentum=0.9)
+    params, velocity = scalar_params(1.0)
+    with pytest.raises(NumericalError, match="non-finite gradient for 'p'"):
+        sgd_step(params, velocity, {"p": np.array([np.nan])}, lr=0.1, momentum=0.9)
 
 
 def test_lr_schedule_boundaries():
@@ -133,8 +131,8 @@ def test_train_deterministic_replay(toy_clips, tmp_path):
     a = train(TOY_UNET, cfg, train_clips, val_clips)
     b = train(TOY_UNET, cfg, train_clips, val_clips)
     assert a.log == b.log
-    pa = tn.save_params(a.state.params, tmp_path / "a.unp").read_bytes()
-    pb = tn.save_params(b.state.params, tmp_path / "b.unp").read_bytes()
+    pa = tn.save_params(a.best_params, tmp_path / "a.unp").read_bytes()
+    pb = tn.save_params(b.best_params, tmp_path / "b.unp").read_bytes()
     assert pa == pb
 
 
@@ -144,6 +142,34 @@ def test_train_warns_on_empty_test_slot_intersection(toy_clips):
     with pytest.warns(UserWarning, match="test slots"):
         result = train(TOY_UNET, cfg, train_clips, val_clips, test_slots={999})
     assert math.isnan(result.log[0].val_test_slots_mse)
+
+
+@pytest.mark.parametrize(
+    "spied, message",
+    [
+        ("mse_loss", "non-finite training loss at epoch 1 step 5"),
+        ("unet_backward_cached", "non-finite gradient for 'head.b' at epoch 1 step 5"),
+    ],
+)
+def test_train_names_the_epoch_and_step_of_a_non_finite_loss_or_gradient(toy_clips, monkeypatch, spied, message):
+    train_clips, val_clips = toy_clips
+    assert len(train_clips) == 7  # 4 steps an epoch in batches of 2: the sixth is step 5, epoch 1's second
+    real, calls = getattr(trainer, spied), []
+
+    def nan_on_the_sixth_call(*args):
+        out = real(*args)
+        calls.append(spied)
+        if len(calls) == 6:
+            if spied == "mse_loss":
+                return math.nan, out[1]
+            out["head.b"][0] = np.nan
+        return out
+
+    monkeypatch.setattr(trainer, spied, nan_on_the_sixth_call)
+    cfg = SGDConfig(batch_size=2, epochs=3, drop_epoch=1, seed=0)
+    with pytest.raises(NumericalError, match=f"^{message}$"):
+        train(TOY_UNET, cfg, train_clips, val_clips)
+    assert len(calls) == 6
 
 
 def test_train_rejects_empty_sets(toy_clips):
@@ -296,8 +322,9 @@ def test_train_step_holds_the_input_once_and_the_targets_only_after_the_forward(
     cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=8, normalize=True)
     batch = random_batch(np.random.default_rng(4), n, h, w)
     sgd = SGDConfig(batch_size=n, epochs=1, drop_epoch=1)
-    state = new_state(cfg, sgd)
-    trainer._train_step(state, batch, 0.01, sgd)  # first-call allocations stay out of the peak
+    params = tn.init_params(cfg, sgd.seed)
+    velocity = params.zeros_like()
+    trainer._train_step(params, velocity, batch, 0.01, sgd.momentum)  # first-call allocations stay out of the peak
     cache = cache_bytes(cfg, n, 64, 56, 4)  # its input is the only copy of the padded batch
     prediction, target = 4 * n * 9 * 64 * 56, 4 * n * 9 * h * w
     # a fourth target-sized allowance covers what else is alive: small arrays and
@@ -306,7 +333,7 @@ def test_train_step_holds_the_input_once_and_the_targets_only_after_the_forward(
     bound = cache + prediction + 4 * target
     tracemalloc.start()
     try:
-        trainer._train_step(state, batch, 0.01, sgd)
+        trainer._train_step(params, velocity, batch, 0.01, sgd.momentum)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,8 +349,9 @@ def test_train_step_holds_no_input_while_the_backward_runs(monkeypatch):
     cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=8, normalize=True)
     batch = random_batch(np.random.default_rng(4), n, h, w)
     sgd = SGDConfig(batch_size=n, epochs=1, drop_epoch=1)
-    state = new_state(cfg, sgd)
-    trainer._train_step(state, batch, 0.01, sgd)  # first-call allocations stay out of the count
+    params = tn.init_params(cfg, sgd.seed)
+    velocity = params.zeros_like()
+    trainer._train_step(params, velocity, batch, 0.01, sgd.momentum)  # first-call allocations stay out of the count
     at_entry = []
     backward = trainer.unet_backward_cached
 
@@ -338,7 +366,7 @@ def test_train_step_holds_no_input_while_the_backward_runs(monkeypatch):
     bound = cache - stacked_input + grad_out + target
     tracemalloc.start()
     try:
-        trainer._train_step(state, batch, 0.01, sgd)
+        trainer._train_step(params, velocity, batch, 0.01, sgd.momentum)
     finally:
         tracemalloc.stop()
     assert at_entry[0] < bound, f"{at_entry[0]} B alive at the backward's entry, bound {bound} B"
@@ -349,7 +377,8 @@ def test_train_step_equals_a_reference_step_that_keeps_its_input(monkeypatch):
     cfg = tn.UNetConfig(depth=3, in_channels=36, out_channels=9, base_channels=4, normalize=True)
     batch = random_batch(np.random.default_rng(5), n, h, w)
     sgd = SGDConfig(batch_size=n, epochs=1, drop_epoch=1)
-    state, ref = new_state(cfg, sgd), new_state(cfg, sgd)
+    params, ref = tn.init_params(cfg, sgd.seed), tn.init_params(cfg, sgd.seed)
+    velocity, ref_velocity = params.zeros_like(), ref.zeros_like()
     first_entries = []
     backward = trainer.unet_backward_cached
 
@@ -359,19 +388,19 @@ def test_train_step_equals_a_reference_step_that_keeps_its_input(monkeypatch):
 
     monkeypatch.setattr(trainer, "unet_backward_cached", spy)
     for _ in range(2):  # the second step also applies the momentum
-        loss = trainer._train_step(state, batch, 0.01, sgd)
+        loss = trainer._train_step(params, velocity, batch, 0.01, sgd.momentum)
         x = trainer._stack_inputs([c.input for c in batch], cfg, cfg.spatial_multiple)
         y = trainer._stack_inputs([c.target for c in batch], cfg)
-        out, cache = tn.unet_forward_cached(ref.params, x)
+        out, cache = tn.unet_forward_cached(ref, x)
         ref_loss, grad_pred = tn.mse_loss(out[:, :, :h, :w], y)
         grad_out = ringed(np.zeros(out.shape, np.float32))
         grad_out[:, :, :h, :w] = grad_pred
-        sgd_step(ref, tn.unet_backward_cached(ref.params, cache, grad_out), 0.01, sgd.momentum)
+        sgd_step(ref, ref_velocity, tn.unet_backward_cached(ref, cache, grad_out), 0.01, sgd.momentum)
         assert loss == ref_loss
     assert len(first_entries) == 2 and all(callable(e) for e in first_entries)  # a rebuild, not the input
-    for name, p in state.params.tensors.items():
-        assert np.array_equal(p, ref.params.tensors[name]), name
-        assert np.array_equal(state.velocity.tensors[name], ref.velocity.tensors[name]), name
+    for name, p in params.tensors.items():
+        assert np.array_equal(p, ref.tensors[name]), name
+        assert np.array_equal(velocity.tensors[name], ref_velocity.tensors[name]), name
 
 
 # ---------------------------------------------------------------------------
